@@ -9,7 +9,6 @@
 #include "support/Str.h"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -274,12 +273,10 @@ const std::vector<std::string> &validCheckNames() {
   return Names;
 }
 
-} // namespace
-
-LintReport pushpull::lintScenarioText(const std::string &FileName,
-                                      const std::string &Text) {
+/// Lint \p Text, whose parse result is \p PR.
+LintReport lintParsed(const std::string &FileName, const std::string &Text,
+                      const ScenarioParseResult &PR) {
   LintReport Report;
-  ScenarioParseResult PR = parseScenario(Text);
   if (!PR.ok()) {
     LintDiag D;
     D.File = FileName;
@@ -343,9 +340,16 @@ LintReport pushpull::lintScenarioText(const std::string &FileName,
   return Report;
 }
 
+} // namespace
+
+LintReport pushpull::lintScenarioText(const std::string &FileName,
+                                      const std::string &Text) {
+  return lintParsed(FileName, Text, parseScenario(Text));
+}
+
 LintReport pushpull::lintScenarioFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
+  ScenarioFile F = loadScenarioFile(Path);
+  if (!F.Opened) {
     LintReport Report;
     LintDiag D;
     D.File = Path;
@@ -356,7 +360,5 @@ LintReport pushpull::lintScenarioFile(const std::string &Path) {
     Report.Diags.push_back(std::move(D));
     return Report;
   }
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  return lintScenarioText(Path, Buf.str());
+  return lintParsed(Path, F.Text, F);
 }

@@ -2,6 +2,7 @@
 
 #include "sim/Explorer.h"
 
+#include "check/Serializability.h"
 #include "core/Invariants.h"
 #include "lang/Printer.h"
 
@@ -9,6 +10,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -155,19 +158,9 @@ void enumerateCandidates(const PushPullMachine &M,
   }
 }
 
-/// The counters expandReduced accounts into (plain references so the
-/// sequential engine passes report fields and workers pass locals).
-struct ExpandCounters {
-  uint64_t &RuleApplications;
-  uint64_t &RejectedAttempts;
-  uint64_t &FiringsPruned;
-  uint64_t &PersistentCuts;
-};
-
 /// Expand the successors of \p M under the configured reduction.  \p Emit
-/// receives each successor machine together with its sleep set.  Shared
-/// by the sequential and parallel engines so their enumeration (and thus
-/// their visited closure) is identical per reduction mode.
+/// receives each successor machine together with its sleep set; the work
+/// counters go into \p Ctr.
 ///
 /// Sleep-set protocol: candidates are explored in canonical order; a
 /// candidate already in the accumulated sleep set (the inherited set plus
@@ -181,7 +174,7 @@ struct ExpandCounters {
 /// reorders another thread's local log or removes global entries).
 template <typename Emit>
 void expandReduced(const PushPullMachine &M, const ExplorerConfig &Config,
-                   const SleepSet &Sleep, ExpandCounters Ctr,
+                   const SleepSet &Sleep, ExplorerReport &Ctr,
                    Emit &&EmitNext) {
   Arena::Scope CandScope(CandidateArena);
   ArenaVec<Candidate> Cands(CandidateArena);
@@ -227,19 +220,28 @@ void expandReduced(const PushPullMachine &M, const ExplorerConfig &Config,
   }
 }
 
-/// One unit of parallel work: a configuration, the depth it was reached
-/// at, and the sleep set it inherited from its parent's expansion.
+/// One unit of shared work: a configuration, the depth it was reached at,
+/// and the sleep set it inherited from its parent's expansion.
 struct WorkItem {
   PushPullMachine M;
   size_t Depth;
   SleepSet Sleep;
 };
 
-/// Sharded concurrent visited map: configuration key -> shallowest depth
-/// + narrowest sleep set seen.  Same protocol as the sequential map
-/// (first claim is "fresh" and does the per-config accounting; a later
-/// claim re-explores — without re-accounting — iff it is shallower or its
-/// sleep set would explore a transition every stored visit pruned).
+/// Sharded concurrent visited map: configuration key -> the shallowest
+/// depth it was explored at and the intersection of the sleep sets it was
+/// explored with.  The first claim is "fresh" and does the per-config
+/// accounting (visit count, invariants, terminal verdict).  A later claim
+/// re-explores, without re-accounting, iff it is shallower (part of the
+/// stored subtree may have been depth-pruned) or its sleep set is not a
+/// superset of the stored one (it could explore a transition every stored
+/// visit pruned); the entry then absorbs it.  This is the classical
+/// sleep-sets + state-caching protocol; with empty sleep sets
+/// (Reduction::None) it degenerates to a depth-only rule.
+///
+/// A lone worker gets one unlocked shard: 64 locked shards cost it about
+/// 10% of its wall time on scenarios/matveev_shavit.pp (EXPERIMENTS.md
+/// E15).
 class ShardedVisited {
 public:
   struct Claim {
@@ -247,10 +249,18 @@ public:
     bool Explore; ///< Caller should expand its successors.
   };
 
+  explicit ShardedVisited(unsigned Workers)
+      : Shards(Workers > 1 ? NumShards : 1) {}
+
   Claim claim(std::string Key, size_t Depth, const SleepSet &Sleep,
               bool UseSleep) {
-    Shard &S = Shards[std::hash<std::string>{}(Key) & (NumShards - 1)];
-    std::lock_guard<std::mutex> Lock(S.Mutex);
+    const bool Concurrent = Shards.size() > 1;
+    Shard &S = Concurrent
+                   ? Shards[std::hash<std::string>{}(Key) & (NumShards - 1)]
+                   : Shards[0];
+    std::unique_lock<std::mutex> Lock(S.Mutex, std::defer_lock);
+    if (Concurrent)
+      Lock.lock();
     auto [It, Fresh] = S.Map.try_emplace(std::move(Key), Entry{Depth, Sleep});
     if (Fresh)
       return {true, true};
@@ -274,14 +284,106 @@ private:
     std::mutex Mutex;
     std::unordered_map<std::string, Entry> Map;
   };
-  Shard Shards[NumShards];
+  std::vector<Shard> Shards;
 };
+
+/// The FirstFailure text of a terminal the oracle could not certify.
+std::string renderNonSerializable(const PushPullMachine &M,
+                                  const SerializabilityVerdict &V) {
+  std::string Text =
+      "non-serializable terminal: " + V.Detail + "\n" + M.toString();
+  for (const CommittedTx &C : M.committed())
+    Text += "  commit[" + std::to_string(C.CommitSeq) + "] t" +
+            std::to_string(C.Tid) + ": " + printCode(C.Body) +
+            " start=" + C.Sigma.toString() +
+            " final=" + C.FinalSigma.toString() + "\n";
+  return Text + "  trace:\n" + M.trace().toString();
+}
+
+/// Add \p Part, one worker's report, into \p Sum.  The first failure is
+/// the first one in worker order.
+void accumulate(ExplorerReport &Sum, ExplorerReport &Part) {
+  Sum.ConfigsVisited += Part.ConfigsVisited;
+  Sum.TerminalConfigs += Part.TerminalConfigs;
+  Sum.RuleApplications += Part.RuleApplications;
+  Sum.RejectedAttempts += Part.RejectedAttempts;
+  Sum.NonSerializable += Part.NonSerializable;
+  Sum.InvariantViolations += Part.InvariantViolations;
+  Sum.FiringsPruned += Part.FiringsPruned;
+  Sum.PersistentCuts += Part.PersistentCuts;
+  Sum.SymmetryHits += Part.SymmetryHits;
+  Sum.OracleSkips += Part.OracleSkips;
+  Sum.Truncated |= Part.Truncated;
+  if (Sum.FirstFailure.empty())
+    Sum.FirstFailure = std::move(Part.FirstFailure);
+}
 
 } // namespace
 
+/// The search state every worker shares.
+struct Explorer::Shared {
+  explicit Shared(unsigned Workers) : Visited(Workers) {}
+
+  ShardedVisited Visited;
+  /// Distinct configurations claimed so far; enforces MaxConfigs.
+  std::atomic<uint64_t> Configs{0};
+  std::mutex TerminalMutex; ///< Serializes the OnTerminal hook.
+
+  std::mutex StackMutex;
+  std::condition_variable StackCV;
+  /// LIFO of the root and the subtrees donated to idle workers.
+  std::vector<WorkItem> Stack;
+  /// Workers inside visit.  Guarded by StackMutex.
+  unsigned Busy = 0;
+  /// Workers waiting for work.  Written under StackMutex and read relaxed
+  /// by donors, so expanding with no idle peer takes no lock.
+  std::atomic<unsigned> Idle{0};
+
+  /// Hand a successor to a waiting worker.  Returns false, leaving the
+  /// arguments untouched, when no worker is waiting or every waiting
+  /// worker already has an item.
+  bool donate(PushPullMachine &M, size_t Depth, SleepSet &Sleep) {
+    if (Idle.load(std::memory_order_relaxed) == 0)
+      return false;
+    {
+      std::lock_guard<std::mutex> Lock(StackMutex);
+      if (Stack.size() >= Idle.load(std::memory_order_relaxed))
+        return false;
+      Stack.push_back(WorkItem{std::move(M), Depth, std::move(Sleep)});
+    }
+    StackCV.notify_one();
+    return true;
+  }
+};
+
+/// One worker's private state.
+struct Explorer::Worker {
+  /// A lone worker (\p Private false) uses the caller's checker \p Caller;
+  /// a pool member gets a private checker with the same limits.
+  Worker(Shared &Search, const SequentialSpec &Spec, MoverChecker &Caller,
+         bool Private)
+      : Search(Search),
+        OwnMovers(Private ? std::make_unique<MoverChecker>(
+                                Spec, Caller.limits(),
+                                Caller.precongruence().limits())
+                          : nullptr),
+        Movers(OwnMovers ? *OwnMovers : Caller), Oracle(Spec) {}
+
+  Shared &Search;
+  std::unique_ptr<MoverChecker> OwnMovers;
+  MoverChecker &Movers;
+  SerializabilityChecker Oracle;
+  /// Committed-content key -> oracle verdict.  The commit-order verdict is
+  /// a pure function of the commit-ordered transaction bodies/stacks and
+  /// the committed shared log, so distinct terminal configurations with
+  /// identical committed content share one atomic-machine search.
+  std::unordered_map<std::string, SerializabilityVerdict> OracleMemo;
+  ExplorerReport Report;
+};
+
 Explorer::Explorer(const SequentialSpec &Spec, MoverChecker &Movers,
                    ExplorerConfig Config)
-    : Spec(Spec), Movers(Movers), Config(Config), Oracle(Spec) {}
+    : Spec(Spec), Movers(Movers), Config(Config) {}
 
 std::string Explorer::canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
                                    uint64_t &SymmetryHits) const {
@@ -329,61 +431,90 @@ Explorer::explore(const std::vector<std::vector<CodePtr>> &Programs) {
   if (usesSymmetry(Config.Reduce))
     Perms = symmetryGroup(Programs);
 
-  if (Config.Threads > 1)
-    return exploreParallel(std::move(M));
+  const unsigned N = std::max(1u, Config.Threads);
+  Shared Search(N);
+  Search.Stack.push_back(WorkItem{std::move(M), 0, SleepSet()});
+  std::deque<Worker> Workers;
+  for (unsigned I = 0; I < N; ++I)
+    Workers.emplace_back(Search, Spec, Movers, /*Private=*/N > 1);
+  // The calling thread is worker 0; a lone worker is the plain DFS.
+  std::vector<std::thread> Pool;
+  for (unsigned I = 1; I < N; ++I)
+    Pool.emplace_back([this, &W = Workers[I]] { work(W); });
+  work(Workers[0]);
+  for (std::thread &T : Pool)
+    T.join();
 
-  Visited.clear();
   ExplorerReport Report;
-  visit(std::move(M), 0, SleepSet(), Report);
+  for (Worker &W : Workers)
+    accumulate(Report, W.Report);
   return Report;
 }
 
+void Explorer::work(Worker &W) {
+  Shared &S = W.Search;
+  std::unique_lock<std::mutex> Lock(S.StackMutex);
+  for (;;) {
+    S.Idle.fetch_add(1, std::memory_order_relaxed);
+    S.StackCV.wait(Lock, [&] { return !S.Stack.empty() || S.Busy == 0; });
+    S.Idle.fetch_sub(1, std::memory_order_relaxed);
+    if (S.Stack.empty())
+      return; // No work anywhere and nobody left to donate any: done.
+    WorkItem Item = std::move(S.Stack.back());
+    S.Stack.pop_back();
+    ++S.Busy;
+    Lock.unlock();
+
+    Item.M.setMovers(W.Movers);
+    visit(std::move(Item.M), Item.Depth, std::move(Item.Sleep), W);
+
+    Lock.lock();
+    if (--S.Busy == 0)
+      S.StackCV.notify_all();
+  }
+}
+
 void Explorer::visit(PushPullMachine M, size_t Depth, SleepSet Sleep,
-                     ExplorerReport &Report) {
-  if (Report.ConfigsVisited >= Config.MaxConfigs || Depth > Config.MaxDepth) {
+                     Worker &W) {
+  Shared &S = W.Search;
+  ExplorerReport &Report = W.Report;
+  if (S.Configs.load(std::memory_order_relaxed) >= Config.MaxConfigs ||
+      Depth > Config.MaxDepth) {
     Report.Truncated = true;
     return;
   }
-  const bool UseSleep = usesSleepSets(Config.Reduce);
   // Under symmetry, key and sleep set move to the canonical labeling so
   // entries stored by isomorphic configurations compare like with like.
   SleepSet StoredSleep = Sleep;
   std::string Key = canonicalKey(M, StoredSleep, Report.SymmetryHits);
-  auto [It, Fresh] =
-      Visited.try_emplace(std::move(Key), VisitEntry{Depth, StoredSleep});
-  if (!Fresh) {
-    bool Shallower = Depth < It->second.Depth;
-    bool SleepCovered = !UseSleep || StoredSleep.supersetOf(It->second.Sleep);
-    if (!Shallower && SleepCovered)
-      return;
-    // Previously reached only deeper (with part of its subtree possibly
-    // depth-pruned) or with a narrower frontier (part of it sleep-pruned):
-    // re-explore from here.  The per-config accounting (visit count,
-    // invariants, terminal verdicts) already happened on the first visit.
-    It->second.Depth = std::min(It->second.Depth, Depth);
-    if (UseSleep)
-      It->second.Sleep.intersectWith(StoredSleep);
-  } else {
-    ++Report.ConfigsVisited;
-  }
+  ShardedVisited::Claim C = S.Visited.claim(
+      std::move(Key), Depth, StoredSleep, usesSleepSets(Config.Reduce));
+  if (!C.Explore)
+    return;
 
-  if (Config.CheckInvariants && Fresh) {
-    for (const ThreadState &Th : M.threads()) {
-      InvariantReport IR = checkAllInvariants(Th, M.global(), Movers);
-      if (!IR.Holds) {
-        ++Report.InvariantViolations;
-        if (Report.FirstFailure.empty())
-          Report.FirstFailure = IR.Which + ": " + IR.Detail;
+  if (C.Fresh) {
+    ++Report.ConfigsVisited;
+    S.Configs.fetch_add(1, std::memory_order_relaxed);
+    if (Config.CheckInvariants) {
+      for (const ThreadState &Th : M.threads()) {
+        InvariantReport IR = checkAllInvariants(Th, M.global(), W.Movers);
+        if (!IR.Holds) {
+          ++Report.InvariantViolations;
+          if (Report.FirstFailure.empty())
+            Report.FirstFailure = IR.Which + ": " + IR.Detail;
+        }
       }
     }
   }
 
   if (M.quiescent()) {
-    if (!Fresh)
+    if (!C.Fresh)
       return;
     ++Report.TerminalConfigs;
-    if (Config.OnTerminal)
+    if (Config.OnTerminal) {
+      std::lock_guard<std::mutex> Lock(S.TerminalMutex);
       Config.OnTerminal(M);
+    }
     if (Config.SkipOracle) {
       // The program was statically proved serializable; the per-terminal
       // replay is certified redundant.
@@ -391,201 +522,19 @@ void Explorer::visit(PushPullMachine M, size_t Depth, SleepSet Sleep,
       return;
     }
     const SerializabilityVerdict &V =
-        cachedCommitOrderVerdict(Oracle, OracleMemo, Spec.table(), M);
+        cachedCommitOrderVerdict(W.Oracle, W.OracleMemo, Spec.table(), M);
     if (V.Serializable != Tri::Yes) {
       ++Report.NonSerializable;
-      if (Report.FirstFailure.empty()) {
-        Report.FirstFailure =
-            "non-serializable terminal: " + V.Detail + "\n" + M.toString();
-        for (const CommittedTx &C : M.committed())
-          Report.FirstFailure += "  commit[" + std::to_string(C.CommitSeq) +
-                                 "] t" + std::to_string(C.Tid) + ": " +
-                                 printCode(C.Body) + " start=" +
-                                 C.Sigma.toString() + " final=" +
-                                 C.FinalSigma.toString() + "\n";
-        Report.FirstFailure += "  trace:\n" + M.trace().toString();
-      }
+      if (Report.FirstFailure.empty())
+        Report.FirstFailure = renderNonSerializable(M, V);
     }
     return;
   }
 
-  expandReduced(M, Config, Sleep,
-                ExpandCounters{Report.RuleApplications,
-                               Report.RejectedAttempts, Report.FiringsPruned,
-                               Report.PersistentCuts},
+  expandReduced(M, Config, Sleep, Report,
                 [&](PushPullMachine Next, SleepSet NextSleep) {
-                  visit(std::move(Next), Depth + 1, std::move(NextSleep),
-                        Report);
+                  if (!S.donate(Next, Depth + 1, NextSleep))
+                    visit(std::move(Next), Depth + 1, std::move(NextSleep),
+                          W);
                 });
-}
-
-ExplorerReport Explorer::exploreParallel(PushPullMachine Root) {
-  struct SharedState {
-    std::mutex QueueMutex;
-    std::condition_variable QueueCV;
-    std::vector<WorkItem> Stack; // LIFO: depth-first-ish, bounded frontier.
-    size_t ActiveWorkers = 0;
-
-    ShardedVisited Visited;
-    std::atomic<uint64_t> ConfigsVisited{0}, TerminalConfigs{0};
-    std::atomic<uint64_t> RuleApplications{0}, RejectedAttempts{0};
-    std::atomic<uint64_t> NonSerializable{0}, InvariantViolations{0};
-    std::atomic<uint64_t> FiringsPruned{0}, PersistentCuts{0};
-    std::atomic<uint64_t> SymmetryHits{0}, OracleSkips{0};
-    std::atomic<bool> Truncated{false};
-
-    std::mutex FailureMutex;
-    std::string FirstFailure;
-
-    std::mutex TerminalMutex; ///< Serializes the OnTerminal hook.
-  } Shared;
-
-  const bool UseSleep = usesSleepSets(Config.Reduce);
-  Shared.Stack.push_back(WorkItem{std::move(Root), 0, SleepSet()});
-
-  auto Worker = [&]() {
-    // Worker-local checkers: verdicts are cache-independent, so private
-    // caches are sound; the expensive denotation steps are still shared
-    // across workers through the spec's interning table.
-    MoverChecker WorkerMovers(Spec, Movers.limits(),
-                              Movers.precongruence().limits());
-    SerializabilityChecker WorkerOracle(Spec);
-    std::unordered_map<std::string, SerializabilityVerdict> WorkerMemo;
-    std::vector<WorkItem> Children;
-
-    auto RecordFailure = [&](const std::string &Text) {
-      std::lock_guard<std::mutex> Lock(Shared.FailureMutex);
-      if (Shared.FirstFailure.empty())
-        Shared.FirstFailure = Text;
-    };
-
-    for (;;) {
-      std::optional<WorkItem> Item;
-      {
-        std::unique_lock<std::mutex> Lock(Shared.QueueMutex);
-        Shared.QueueCV.wait(Lock, [&] {
-          return !Shared.Stack.empty() || Shared.ActiveWorkers == 0;
-        });
-        if (Shared.Stack.empty())
-          return; // No work anywhere and nobody producing: done.
-        Item.emplace(std::move(Shared.Stack.back()));
-        Shared.Stack.pop_back();
-        ++Shared.ActiveWorkers;
-      }
-
-      Children.clear();
-      PushPullMachine &M = Item->M;
-      size_t Depth = Item->Depth;
-      M.setMovers(WorkerMovers);
-
-      if (Shared.ConfigsVisited.load(std::memory_order_relaxed) >=
-              Config.MaxConfigs ||
-          Depth > Config.MaxDepth) {
-        Shared.Truncated.store(true, std::memory_order_relaxed);
-      } else {
-        uint64_t Hits = 0;
-        SleepSet StoredSleep = Item->Sleep;
-        std::string Key = canonicalKey(M, StoredSleep, Hits);
-        if (Hits)
-          Shared.SymmetryHits.fetch_add(Hits, std::memory_order_relaxed);
-        if (auto C = Shared.Visited.claim(std::move(Key), Depth, StoredSleep,
-                                          UseSleep);
-            C.Explore) {
-          if (C.Fresh)
-            Shared.ConfigsVisited.fetch_add(1, std::memory_order_relaxed);
-
-          if (Config.CheckInvariants && C.Fresh) {
-            for (const ThreadState &Th : M.threads()) {
-              InvariantReport IR =
-                  checkAllInvariants(Th, M.global(), WorkerMovers);
-              if (!IR.Holds) {
-                Shared.InvariantViolations.fetch_add(
-                    1, std::memory_order_relaxed);
-                RecordFailure(IR.Which + ": " + IR.Detail);
-              }
-            }
-          }
-
-          if (M.quiescent()) {
-            if (C.Fresh) {
-              Shared.TerminalConfigs.fetch_add(1, std::memory_order_relaxed);
-              if (Config.OnTerminal) {
-                std::lock_guard<std::mutex> Lock(Shared.TerminalMutex);
-                Config.OnTerminal(M);
-              }
-              if (Config.SkipOracle) {
-                Shared.OracleSkips.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                const SerializabilityVerdict &V = cachedCommitOrderVerdict(
-                    WorkerOracle, WorkerMemo, Spec.table(), M);
-                if (V.Serializable != Tri::Yes) {
-                  Shared.NonSerializable.fetch_add(1,
-                                                   std::memory_order_relaxed);
-                  std::string Text = "non-serializable terminal: " +
-                                     V.Detail + "\n" + M.toString();
-                  for (const CommittedTx &Cm : M.committed())
-                    Text += "  commit[" + std::to_string(Cm.CommitSeq) +
-                            "] t" + std::to_string(Cm.Tid) + ": " +
-                            printCode(Cm.Body) + " start=" +
-                            Cm.Sigma.toString() + " final=" +
-                            Cm.FinalSigma.toString() + "\n";
-                  Text += "  trace:\n" + M.trace().toString();
-                  RecordFailure(Text);
-                }
-              }
-            }
-          } else {
-            uint64_t Applied = 0, Rejected = 0, Pruned = 0, Cuts = 0;
-            expandReduced(M, Config, Item->Sleep,
-                          ExpandCounters{Applied, Rejected, Pruned, Cuts},
-                          [&](PushPullMachine Next, SleepSet NextSleep) {
-                            Children.push_back(WorkItem{std::move(Next),
-                                                        Depth + 1,
-                                                        std::move(NextSleep)});
-                          });
-            Shared.RuleApplications.fetch_add(Applied,
-                                              std::memory_order_relaxed);
-            Shared.RejectedAttempts.fetch_add(Rejected,
-                                              std::memory_order_relaxed);
-            if (Pruned)
-              Shared.FiringsPruned.fetch_add(Pruned,
-                                             std::memory_order_relaxed);
-            if (Cuts)
-              Shared.PersistentCuts.fetch_add(Cuts,
-                                              std::memory_order_relaxed);
-          }
-        }
-      }
-
-      {
-        std::lock_guard<std::mutex> Lock(Shared.QueueMutex);
-        for (WorkItem &C : Children)
-          Shared.Stack.push_back(std::move(C));
-        --Shared.ActiveWorkers;
-      }
-      Shared.QueueCV.notify_all();
-    }
-  };
-
-  std::vector<std::thread> Pool;
-  Pool.reserve(Config.Threads);
-  for (unsigned I = 0; I < Config.Threads; ++I)
-    Pool.emplace_back(Worker);
-  for (std::thread &T : Pool)
-    T.join();
-
-  ExplorerReport Report;
-  Report.ConfigsVisited = Shared.ConfigsVisited.load();
-  Report.TerminalConfigs = Shared.TerminalConfigs.load();
-  Report.RuleApplications = Shared.RuleApplications.load();
-  Report.RejectedAttempts = Shared.RejectedAttempts.load();
-  Report.NonSerializable = Shared.NonSerializable.load();
-  Report.InvariantViolations = Shared.InvariantViolations.load();
-  Report.FiringsPruned = Shared.FiringsPruned.load();
-  Report.PersistentCuts = Shared.PersistentCuts.load();
-  Report.SymmetryHits = Shared.SymmetryHits.load();
-  Report.OracleSkips = Shared.OracleSkips.load();
-  Report.Truncated = Shared.Truncated.load();
-  Report.FirstFailure = std::move(Shared.FirstFailure);
-  return Report;
 }

@@ -29,21 +29,30 @@
 /// without symmetry preserve the exact TerminalConfigs and per-terminal
 /// verdict counts (the tests/reduction_test.cpp battery enforces this).
 ///
-/// With ExplorerConfig::Threads > 1 the search runs on a worker pool: a
-/// shared LIFO work queue of configurations (sleep sets travel with the
-/// work items), a sharded concurrent visited map, per-worker mover
-/// checkers and oracles (verdicts are cache-independent, so worker-local
-/// caches are sound), and atomic report counters.
+/// The search is one recursive DFS routine, Explorer::visit, run by every
+/// worker.  Workers share a LIFO stack that holds only the root and the
+/// subtrees donated to idle peers, a visited map (sharded and locked when
+/// there is more than one worker), and a config count that enforces
+/// MaxConfigs; each fills its own report, summed after join.  A worker
+/// expanding a configuration donates a child to the stack only while
+/// another worker is idle, and otherwise visits it in place.  A lone
+/// worker never has an idle peer, so ExplorerConfig::Threads = 1 is
+/// exactly the sequential DFS, run on the calling thread with the
+/// caller's MoverChecker.  With more workers each gets a private mover
+/// checker and oracle (verdicts are cache-independent, so worker-local
+/// caches are sound) and the caller's checker is never touched.
 ///
 /// Which report fields are deterministic: the visited/accounting protocol
 /// guarantees that the aggregate totals ConfigsVisited / TerminalConfigs /
 /// NonSerializable / InvariantViolations are deterministic for a given
 /// (config, reduction mode) and equal across Threads=1 and Threads>1 on
-/// non-truncated explorations.  RuleApplications, RejectedAttempts,
-/// FiringsPruned, PersistentCuts and SymmetryHits count *work performed*:
-/// they are deterministic under Threads=1 but vary with visit order under
-/// Threads>1 (parallel workers may race to a configuration and re-expand
-/// it), and which failure is reported first likewise depends on order.
+/// non-truncated explorations without backward rules (with them,
+/// Threads>1 totals have been seen to vary between runs).
+/// RuleApplications, RejectedAttempts, FiringsPruned, PersistentCuts and
+/// SymmetryHits count *work performed*: they are deterministic under
+/// Threads=1 but vary with visit order under Threads>1 (parallel workers
+/// may race to a configuration and re-expand it), and which failure is
+/// reported first likewise depends on order.
 /// Tests must assert only the deterministic totals when Threads>1 — see
 /// tests/explorer_test.cpp and tests/reduction_test.cpp.
 ///
@@ -52,7 +61,6 @@
 #ifndef PUSHPULL_SIM_EXPLORER_H
 #define PUSHPULL_SIM_EXPLORER_H
 
-#include "check/Serializability.h"
 #include "core/Machine.h"
 #include "sim/Reduction.h"
 
@@ -84,9 +92,9 @@ struct ExplorerConfig {
   uint64_t MaxConfigs = 2000000;
   /// Abandon paths longer than this many rule applications.
   size_t MaxDepth = 64;
-  /// Worker threads.  1 (the default) keeps the exact sequential DFS;
-  /// >1 shards the search across a pool (same aggregate totals, see the
-  /// file comment).
+  /// Search workers.  1 (the default) is the exact sequential DFS on the
+  /// calling thread; more workers split the same DFS by donating subtrees
+  /// to idle peers (same aggregate totals, see the file comment).
   unsigned Threads = 1;
   /// Certified strong-commutation oracle (core/Commut.h), or null.  When
   /// set, two things happen *together* (they are only sound as a pair):
@@ -164,21 +172,18 @@ public:
   ExplorerReport explore(const std::vector<std::vector<CodePtr>> &Programs);
 
 private:
-  /// One visited-map entry: the shallowest depth this configuration was
-  /// explored at, and the intersection of the sleep sets it was explored
-  /// with.  A revisit is pruned only if it is no shallower *and* its
-  /// sleep set is a superset of the stored one (it could not explore any
-  /// transition the stored visits did not); otherwise it re-explores and
-  /// the entry absorbs it.  This is the classical sleep-sets +
-  /// state-caching protocol; with empty sleep sets (Reduction::None) it
-  /// degenerates to the PR 1 depth-only rule.
-  struct VisitEntry {
-    size_t Depth = 0;
-    SleepSet Sleep;
-  };
+  /// Search state shared by all workers, and one worker's private state
+  /// (both defined in Explorer.cpp).
+  struct Shared;
+  struct Worker;
 
-  void visit(PushPullMachine M, size_t Depth, SleepSet Sleep,
-             ExplorerReport &Report);
+  /// The search routine: claim \p M in the visited map, account for it,
+  /// and expand its successors under the configured reduction, visiting
+  /// each in place or donating it to an idle worker.
+  void visit(PushPullMachine M, size_t Depth, SleepSet Sleep, Worker &W);
+
+  /// Run \p W until the shared stack is empty and no worker is busy.
+  void work(Worker &W);
 
   /// Canonical visited-map key of \p M under the configured reduction:
   /// the minimum of configKey over the symmetry group (identity only,
@@ -189,23 +194,12 @@ private:
   std::string canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
                            uint64_t &SymmetryHits) const;
 
-  ExplorerReport exploreParallel(PushPullMachine Root);
-
   const SequentialSpec &Spec;
   MoverChecker &Movers;
   ExplorerConfig Config;
-  SerializabilityChecker Oracle;
   /// Thread relabelings for the symmetry reduction (identity first).
   /// Empty unless Config.Reduce enables symmetry.
   std::vector<std::vector<TxId>> Perms;
-  /// Committed-content key -> oracle verdict.  The commit-order verdict is
-  /// a pure function of the commit-ordered transaction bodies/stacks and
-  /// the committed shared log, so distinct terminal configurations with
-  /// identical committed content share one atomic-machine search.
-  std::unordered_map<std::string, SerializabilityVerdict> OracleMemo;
-  /// Configuration key -> shallowest depth + narrowest sleep set it has
-  /// been explored with (see VisitEntry).
-  std::unordered_map<std::string, VisitEntry> Visited;
 };
 
 } // namespace pushpull

@@ -28,6 +28,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 using namespace pushpull;
@@ -343,6 +344,25 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
     S->Spec = Composite;
   }
   Out.Parsed = std::move(S);
+  return Out;
+}
+
+ScenarioFile pushpull::loadScenarioFile(const std::string &Path) {
+  ScenarioFile Out;
+  std::ifstream In(Path);
+  if (!In) {
+    Out.Error = "cannot open '" + Path + "'";
+    Out.Diagnostic = "error: " + Out.Error;
+    return Out;
+  }
+  Out.Opened = true;
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  Out.Text = Buf.str();
+  static_cast<ScenarioParseResult &>(Out) = parseScenario(Out.Text);
+  if (!Out.ok())
+    Out.Diagnostic = Path + ":" + std::to_string(Out.ErrorLine) +
+                     ": error: " + Out.Error;
   return Out;
 }
 

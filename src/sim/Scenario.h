@@ -100,6 +100,20 @@ struct ScenarioParseResult {
 /// Parse the scenario text format.  Never throws.
 ScenarioParseResult parseScenario(const std::string &Text);
 
+/// A scenario file read from disk and parsed (loadScenarioFile).
+struct ScenarioFile : ScenarioParseResult {
+  /// False when the file could not be opened.
+  bool Opened = false;
+  /// The file's contents.
+  std::string Text;
+  /// Empty on success; otherwise the one-line diagnostic the tools print:
+  /// "error: cannot open '<path>'" or "<path>:<line>: error: <message>".
+  std::string Diagnostic;
+};
+
+/// Read and parse the scenario file at \p Path.  Never throws.
+ScenarioFile loadScenarioFile(const std::string &Path);
+
 /// Build one spec part from a scenario-style kind ("register", "counter",
 /// "set", "map", "queue", "bank") and key=value options.  \p Name receives
 /// the part's object name (the "name" option, defaulting to the kind).

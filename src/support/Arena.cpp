@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <new>
+#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
 #define PUSHPULL_ASAN 1
@@ -102,11 +103,15 @@ Arena::~Arena() { rewind(Mark{}); }
 //===----------------------------------------------------------------------===//
 //
 // Power-of-two size classes from 32 bytes to 16 KiB.  Each live thread
-// keeps a free list per class; refills carve a slab from a process-wide
-// arena under a mutex, and a thread's leftover lists are spliced back into
-// the global pool when the thread exits (parallel-explorer workers are
-// short-lived).  Chunks freed on a different thread than they were
-// allocated on simply land in the freeing thread's list — the backing slab
+// keeps a free list per class.  Lists move whole between a thread and the
+// process-wide pool: a thread whose list runs dry takes one returned list
+// (or carves a fresh slab under the pool mutex), and a thread that has
+// freed CacheLimit chunks of a class since it last took or returned a
+// list returns its list, as does a thread that exits.  Chunks freed on a
+// different thread than they were allocated on land in the freeing
+// thread's list, so explorer workers that hand machines to each other
+// shift chunks between threads; returning lists keeps those chunks
+// reusable by every thread instead of growing the slab footprint.  Slab
 // memory is never released, so no list ever points into freed storage.
 
 #ifndef PUSHPULL_ASAN
@@ -117,6 +122,7 @@ constexpr size_t MinClassLog2 = 5;  // 32 B
 constexpr size_t MaxClassLog2 = 14; // 16 KiB
 constexpr size_t NumClasses = MaxClassLog2 - MinClassLog2 + 1;
 constexpr size_t SlabBytes = 64 * 1024;
+constexpr uint32_t CacheLimit = 1024;
 
 struct FreeNode {
   FreeNode *Next;
@@ -125,7 +131,8 @@ struct FreeNode {
 struct GlobalPool {
   std::mutex Mutex;
   Arena Slabs;
-  FreeNode *Lists[NumClasses] = {};
+  /// Per class, the free lists threads returned.
+  std::vector<FreeNode *> Lists[NumClasses];
 
   static GlobalPool &get() {
     static GlobalPool P;
@@ -143,20 +150,22 @@ inline size_t classOf(size_t Bytes) {
 
 struct ThreadCache {
   FreeNode *Lists[NumClasses] = {};
+  /// Chunks freed per class since the list was last taken or returned.
+  uint32_t Frees[NumClasses] = {};
 
-  ~ThreadCache() {
-    // Splice every local list back into the global pool so chunks freed
-    // on a dying worker thread stay reusable.
+  /// Hand class \p C's list to the global pool.
+  void giveBack(size_t C) {
     GlobalPool &G = GlobalPool::get();
     std::lock_guard<std::mutex> Lock(G.Mutex);
-    for (size_t C = 0; C < NumClasses; ++C) {
-      while (Lists[C]) {
-        FreeNode *N = Lists[C];
-        Lists[C] = N->Next;
-        N->Next = G.Lists[C];
-        G.Lists[C] = N;
-      }
-    }
+    G.Lists[C].push_back(Lists[C]);
+    Lists[C] = nullptr;
+    Frees[C] = 0;
+  }
+
+  ~ThreadCache() {
+    for (size_t C = 0; C < NumClasses; ++C)
+      if (Lists[C])
+        giveBack(C);
   }
 };
 
@@ -173,10 +182,10 @@ void *pushpull::chunkAlloc(size_t Bytes) {
     size_t ClassBytes = size_t{1} << (C + MinClassLog2);
     GlobalPool &G = GlobalPool::get();
     std::lock_guard<std::mutex> Lock(G.Mutex);
-    if (G.Lists[C]) {
-      // Adopt the whole global list for this class.
-      Head = G.Lists[C];
-      G.Lists[C] = nullptr;
+    LocalCache.Frees[C] = 0;
+    if (!G.Lists[C].empty()) {
+      Head = G.Lists[C].back();
+      G.Lists[C].pop_back();
     } else {
       size_t Count = SlabBytes / ClassBytes;
       auto *Slab = static_cast<unsigned char *>(
@@ -202,6 +211,8 @@ void pushpull::chunkFree(void *P, size_t Bytes) {
   auto *N = static_cast<FreeNode *>(P);
   N->Next = LocalCache.Lists[C];
   LocalCache.Lists[C] = N;
+  if (++LocalCache.Frees[C] == CacheLimit)
+    LocalCache.giveBack(C);
 }
 
 #else // PUSHPULL_ASAN

@@ -17,13 +17,15 @@
 ///
 ///  * chunkAlloc/chunkFree — the allocator behind the copy-on-write log
 ///    chunks (support/Cow.h).  Chunks are recycled through thread-local
-///    free lists refilled from a process-wide arena (slabs are never
-///    returned to the OS; peak usage bounds the footprint).  Chunks may be
-///    freed from a different thread than the one that allocated them — the
-///    parallel explorer moves machines between workers — so the free lists
-///    only cache, never own.  Under AddressSanitizer the pool is bypassed
-///    (plain operator new/delete) so poisoning and use-after-free detection
-///    see every chunk individually; see DESIGN.md section 11.
+///    free lists that move whole to and from a process-wide pool (slabs
+///    are never returned to the OS; peak usage bounds the footprint).
+///    Chunks may be freed from a different thread than the one that
+///    allocated them — explorer workers hand machines to each other — so
+///    the free lists only cache, never own, and a thread returns its list
+///    to the pool after a bounded number of frees.  Under AddressSanitizer
+///    the pool is bypassed (plain operator new/delete) so poisoning and
+///    use-after-free detection see every chunk individually; see DESIGN.md
+///    section 11.
 ///
 ///  * memstats — process-wide relaxed atomic counters for snapshot/copy
 ///    traffic (SnapshotBytes, ChunkShares, DeepCopies, MachineCopies),

@@ -31,3 +31,21 @@ std::vector<std::string> pushpull::splitOn(const std::string &S, char Sep) {
   }
   return Out;
 }
+
+std::optional<uint64_t> pushpull::parseUnsigned(std::string_view Text,
+                                                uint64_t Min, uint64_t Max) {
+  if (Text.empty())
+    return std::nullopt;
+  uint64_t V = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return std::nullopt;
+    uint64_t D = static_cast<uint64_t>(C - '0');
+    if (V > (UINT64_MAX - D) / 10)
+      return std::nullopt;
+    V = V * 10 + D;
+  }
+  if (V < Min || V > Max)
+    return std::nullopt;
+  return V;
+}

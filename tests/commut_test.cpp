@@ -25,11 +25,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <random>
-#include <sstream>
 
 using namespace pushpull;
 
@@ -47,13 +45,9 @@ size_t probeIdx(const std::vector<Operation> &Probes,
 }
 
 Scenario parseScenarioFile(const std::string &Path) {
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << Path;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  ScenarioParseResult PR = parseScenario(Buf.str());
-  EXPECT_TRUE(PR.ok()) << Path << ": " << PR.Error;
-  return std::move(*PR.Parsed);
+  ScenarioFile F = loadScenarioFile(Path);
+  EXPECT_TRUE(F.ok()) << F.Diagnostic;
+  return std::move(*F.Parsed);
 }
 
 } // namespace
@@ -255,9 +249,10 @@ TEST(CommutProperty, StrongPairsCommuteOnFuzzedLogs) {
         StateSetId AB = Spec.applyOpId(SA, P[J]);
         StateSetId BA = Spec.applyOpId(SB, P[I]);
         EXPECT_EQ(AB, BA) << P[I].toString() << " x " << P[J].toString();
-        if (SA != StateTable::EmptySetId && SB != StateTable::EmptySetId)
+        if (SA != StateTable::EmptySetId && SB != StateTable::EmptySetId) {
           EXPECT_NE(AB, StateTable::EmptySetId)
               << P[I].toString() << " x " << P[J].toString();
+        }
       }
     }
   }

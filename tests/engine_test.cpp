@@ -205,8 +205,9 @@ TEST(PessimisticEngine, WriterWaitsForReaders) {
   EXPECT_EQ(Oracle.checkCommitOrder(M).Serializable, Tri::Yes);
   // The reader saw a consistent snapshot.
   for (const CommittedTx &C : M.committed())
-    if (C.Tid == 0)
+    if (C.Tid == 0) {
       EXPECT_EQ(C.FinalSigma.getOrDie("v"), C.FinalSigma.getOrDie("w"));
+    }
 }
 
 // --- Mixed / irrevocable (Section 6.4) ----------------------------------------

@@ -246,3 +246,32 @@ TEST(Explorer, ParallelSearchMatchesSequentialTotals) {
     EXPECT_TRUE(Par.clean()) << C.Name << ": " << Par.FirstFailure;
   }
 }
+
+TEST(Explorer, LoneWorkerUsesCallersCheckerAndPoolNeverTouchesIt) {
+  // Threads=1 runs the DFS on the calling thread with the caller's
+  // MoverChecker, so its memo counters record the exploration's mover
+  // traffic (pprun --stats reports them).  A pool gives every worker a
+  // private checker: the caller's counters must not move.
+  QueueSpec Spec("q", 2, 2);
+  MoverChecker Movers(Spec);
+  std::vector<std::vector<CodePtr>> Programs = {
+      {parseOrDie("tx { a := q.enq(0) }")},
+      {parseOrDie("tx { b := q.enq(1) }")}};
+  auto Explore = [&](unsigned Threads) {
+    ExplorerConfig EC;
+    EC.Threads = Threads;
+    EC.CheckInvariants = true;
+    return Explorer(Spec, Movers, EC).explore(Programs);
+  };
+
+  ExplorerReport Seq = Explore(1);
+  uint64_t Hits = Movers.memoHits(), Misses = Movers.memoMisses();
+  EXPECT_GT(Hits + Misses, 0u) << "the lone worker used another checker";
+
+  ExplorerReport Par = Explore(4);
+  EXPECT_EQ(Movers.memoHits(), Hits) << "the pool touched the caller's checker";
+  EXPECT_EQ(Movers.memoMisses(), Misses);
+  EXPECT_EQ(Par.ConfigsVisited, Seq.ConfigsVisited);
+  EXPECT_EQ(Par.TerminalConfigs, Seq.TerminalConfigs);
+  EXPECT_TRUE(Par.clean()) << Par.FirstFailure;
+}

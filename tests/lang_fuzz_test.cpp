@@ -110,8 +110,9 @@ TEST_P(LangFuzzTest, StepOfFinishableSkipFreePathsConsistent) {
   Rng R(GetParam() * 31337 + 11);
   for (int Trial = 0; Trial < 200; ++Trial) {
     CodePtr C = randomCode(R, 4);
-    if (step(C).empty())
+    if (step(C).empty()) {
       EXPECT_TRUE(fin(C)) << printCode(C);
+    }
   }
 }
 

@@ -190,8 +190,9 @@ TEST(Opacity, CommutationGuardRefusesObservingFutures) {
   ASSERT_TRUE(St.Quiescent);
   // Thread 1 (the reader) performed no uncommitted pull.
   for (const TraceEvent &Ev : M.trace().events())
-    if (Ev.Tid == 1 && Ev.Rule == RuleKind::Pull)
+    if (Ev.Tid == 1 && Ev.Rule == RuleKind::Pull) {
       EXPECT_FALSE(Ev.PulledUncommitted);
+    }
   SerializabilityChecker Oracle(Spec);
   EXPECT_EQ(Oracle.checkAnyOrder(M).Serializable, Tri::Yes);
 }

@@ -159,10 +159,11 @@ TEST_P(MoverLawTest, CheckerAgreesWithDefinitionOnSamples) {
       Tri P = Pre.checkLogs(AB, BA);
       if (P == Tri::No)
         Refuted = true;
-      if (V == Tri::Yes)
+      if (V == Tri::Yes) {
         EXPECT_NE(P, Tri::No)
             << GetParam() << ": " << A.toString() << " <| " << B.toString()
             << " claimed Yes but refuted after a reachable log";
+      }
     }
     (void)Refuted; // A No verdict's witness may lie outside the sample.
   }

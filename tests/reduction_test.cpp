@@ -733,8 +733,9 @@ TEST(CommutativityReduction, DBPreservesVerdictsAndTerminalQuotient) {
         // OnTerminal hook only for the visited-map, not for the machine
         // itself, so the hook sees representative machines; outside
         // symmetry mode the comparison is exact.)
-        if (Mode != Reduction::PersistentSymmetry)
+        if (Mode != Reduction::PersistentSymmetry) {
           EXPECT_EQ(WithDB.Terminals, Base.Terminals) << Tag;
+        }
       }
     }
   }

@@ -14,9 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 using namespace pushpull;
 
@@ -40,13 +38,9 @@ std::vector<std::filesystem::path> corpusFiles() {
 TEST(Regress, CorpusHasOneScenarioPerEngine) {
   std::set<std::string> Engines;
   for (const auto &Path : corpusFiles()) {
-    std::ifstream In(Path);
-    ASSERT_TRUE(In) << Path;
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    ScenarioParseResult PR = parseScenario(Buf.str());
-    ASSERT_TRUE(PR.ok()) << Path << ": " << PR.Error;
-    Engines.insert(PR.Parsed->Engine);
+    ScenarioFile F = loadScenarioFile(Path.string());
+    ASSERT_TRUE(F.ok()) << F.Diagnostic;
+    Engines.insert(F.Parsed->Engine);
   }
   for (const std::string &E : allEngineNames())
     EXPECT_TRUE(Engines.count(E)) << "no regress scenario for engine " << E;
@@ -57,13 +51,10 @@ TEST(Regress, EveryScenarioReplaysCleanThroughTheDiffRunner) {
   size_t N = 0;
   for (const auto &Path : corpusFiles()) {
     ++N;
-    std::ifstream In(Path);
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    ScenarioParseResult PR = parseScenario(Buf.str());
-    ASSERT_TRUE(PR.ok()) << Path << ": " << PR.Error;
+    ScenarioFile F = loadScenarioFile(Path.string());
+    ASSERT_TRUE(F.ok()) << F.Diagnostic;
 
-    DiffReport R = DiffRunner().run(fromScenario(*PR.Parsed));
+    DiffReport R = DiffRunner().run(fromScenario(*F.Parsed));
     ASSERT_TRUE(R.Built) << Path << ": " << R.BuildError;
     EXPECT_FALSE(R.discrepancy()) << Path << "\n" << R.toString();
     EXPECT_TRUE(R.Stats.Quiescent) << Path << "\n" << R.toString();

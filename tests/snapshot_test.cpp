@@ -174,10 +174,13 @@ TEST(Snapshot, ExplorerTotalsMatchDeepCopyGoldens) {
   // on the same scopes with the same bounds.  ConfigsVisited and
   // TerminalConfigs are pure functions of the interned configuration
   // keys, so equality here means the CoW machine and the canonicalized
-  // key assembly partition the state space identically.
+  // key assembly partition the state space identically.  The work
+  // counters (applied, rejected, pruned, persistent cuts) pin the
+  // Threads=1 visit order: they were recorded from the sequential DFS
+  // before the explorer's worker pool was folded into it.
   struct Golden {
     Reduction Mode;
-    uint64_t Configs, Terminals, Pruned;
+    uint64_t Configs, Terminals, Pruned, Applied, Rejected, Cuts;
   };
   struct ScopeGolden {
     std::function<std::unique_ptr<SequentialSpec>()> MakeSpec;
@@ -187,16 +190,16 @@ TEST(Snapshot, ExplorerTotalsMatchDeepCopyGoldens) {
   std::vector<ScopeGolden> Scopes = {
       {[] { return std::make_unique<CounterSpec>("c", 1, 3); },
        {"tx { c.inc(0) }", "tx { c.inc(0) }", "tx { c.inc(0) }"},
-       {{Reduction::None, 4923, 6, 0},
-        {Reduction::Sleep, 4923, 6, 5673},
-        {Reduction::Persistent, 4769, 6, 5459},
-        {Reduction::PersistentSymmetry, 805, 1, 1065}}},
+       {{Reduction::None, 4923, 6, 0, 12855, 9618, 0},
+        {Reduction::Sleep, 4923, 6, 5673, 10697, 11368, 0},
+        {Reduction::Persistent, 4769, 6, 5459, 10490, 11234, 3},
+        {Reduction::PersistentSymmetry, 805, 1, 1065, 2157, 2160, 3}}},
       {[] { return std::make_unique<RegisterSpec>("mem", 1, 2); },
        {"tx { v := mem.read(0); mem.write(0, 1) }", "tx { mem.write(0, 0) }"},
-       {{Reduction::None, 96, 3, 0},
-        {Reduction::Sleep, 96, 3, 38},
-        {Reduction::Persistent, 85, 3, 29},
-        {Reduction::PersistentSymmetry, 85, 3, 29}}},
+       {{Reduction::None, 96, 3, 0, 150, 158, 0},
+        {Reduction::Sleep, 96, 3, 38, 118, 162, 0},
+        {Reduction::Persistent, 85, 3, 29, 107, 153, 2},
+        {Reduction::PersistentSymmetry, 85, 3, 29, 107, 153, 2}}},
   };
   for (size_t SI = 0; SI < Scopes.size(); ++SI) {
     for (const Golden &G : Scopes[SI].PerMode) {
@@ -218,6 +221,9 @@ TEST(Snapshot, ExplorerTotalsMatchDeepCopyGoldens) {
         // Work counters are deterministic only sequentially.
         if (Threads == 1) {
           EXPECT_EQ(R.FiringsPruned, G.Pruned) << Tag;
+          EXPECT_EQ(R.RuleApplications, G.Applied) << Tag;
+          EXPECT_EQ(R.RejectedAttempts, G.Rejected) << Tag;
+          EXPECT_EQ(R.PersistentCuts, G.Cuts) << Tag;
         }
       }
     }

@@ -53,6 +53,30 @@ TEST(Tri, ToString) {
   EXPECT_EQ(toString(Tri::Unknown), "unknown");
 }
 
+TEST(Str, ParseUnsignedAcceptsDigitsInRange) {
+  EXPECT_EQ(parseUnsigned("0", 0, 10), 0u);
+  EXPECT_EQ(parseUnsigned("7", 1, 10), 7u);
+  EXPECT_EQ(parseUnsigned("10", 1, 10), 10u);
+  EXPECT_EQ(parseUnsigned("007", 0, 10), 7u);
+  EXPECT_EQ(parseUnsigned("18446744073709551615", 0, UINT64_MAX),
+            UINT64_MAX);
+}
+
+TEST(Str, ParseUnsignedRejectsMalformedAndOutOfRange) {
+  for (const char *Bad : {"", "2x", "x2", " 2", "2 ", "+2", "-2", "-0",
+                          "1.5", "0x10", "1e3"})
+    EXPECT_EQ(parseUnsigned(Bad, 0, UINT64_MAX), std::nullopt) << Bad;
+  // Overflow of the 64-bit accumulator, not just of the range.
+  EXPECT_EQ(parseUnsigned("18446744073709551616", 0, UINT64_MAX),
+            std::nullopt);
+  EXPECT_EQ(parseUnsigned("99999999999999999999999", 0, UINT64_MAX),
+            std::nullopt);
+  // Outside [Min, Max].
+  EXPECT_EQ(parseUnsigned("0", 1, 10), std::nullopt);
+  EXPECT_EQ(parseUnsigned("11", 1, 10), std::nullopt);
+  EXPECT_EQ(parseUnsigned("99999999999", 1, 256), std::nullopt);
+}
+
 TEST(Rng, Deterministic) {
   Rng A(42), B(42);
   for (int I = 0; I < 100; ++I)

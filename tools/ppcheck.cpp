@@ -37,6 +37,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliArgs.h"
 #include "analysis/IndependenceAudit.h"
 #include "analysis/Lint.h"
 #include "analysis/MoverTable.h"
@@ -49,10 +50,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -297,22 +296,16 @@ int runProve(const std::vector<std::string> &Paths, bool Witnesses) {
   size_t Proved = 0, Conflicts = 0, Unproved = 0;
   uint64_t CertChecks = 0;
   for (const std::string &F : Files) {
-    std::ifstream In(F);
-    if (!In) {
-      std::fprintf(stderr, "ppcheck: cannot open '%s'\n", F.c_str());
+    ScenarioFile SF = loadScenarioFile(F);
+    if (!SF.ok()) {
+      if (SF.Opened)
+        std::fprintf(stderr, "%s\n", SF.Diagnostic.c_str());
+      else
+        std::fprintf(stderr, "ppcheck: cannot open '%s'\n", F.c_str());
       Rc = 1;
       continue;
     }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    ScenarioParseResult PR = parseScenario(Buf.str());
-    if (!PR.ok()) {
-      std::fprintf(stderr, "%s:%zu: error: %s\n", F.c_str(), PR.ErrorLine,
-                   PR.Error.c_str());
-      Rc = 1;
-      continue;
-    }
-    const Scenario &S = *PR.Parsed;
+    const Scenario &S = *SF.Parsed;
     CommutativityDB DB(*S.Spec, S.Movers.MaxReachableSets);
     ProveResult R = proveSerializable(S, DB);
     CertChecks += DB.certChecks();
@@ -363,6 +356,15 @@ int main(int argc, char **argv) {
   bool Lint = false, Movers = false, Prove = false;
 
   for (int I = 1; I < argc; ++I) {
+    if (numericFlag(argc, argv, I, "--threads", Opt.Scope.Threads, 1,
+                    MaxThreadsFlag) ||
+        numericFlag(argc, argv, I, "--max-local", Opt.Scope.MaxLocalSubject) ||
+        numericFlag(argc, argv, I, "--max-local-other",
+                    Opt.Scope.MaxLocalOther) ||
+        numericFlag(argc, argv, I, "--max-global", Opt.Scope.MaxGlobal) ||
+        numericFlag(argc, argv, I, "--max-alphabet", Opt.Scope.MaxAlphabet) ||
+        numericFlag(argc, argv, I, "--max-shapes", Opt.MaxShapes))
+      continue;
     std::string A = argv[I];
     auto NextArg = [&](const char *Flag) -> const char * {
       if (I + 1 >= argc) {
@@ -401,36 +403,6 @@ int main(int argc, char **argv) {
       for (const std::string &N : injectableCriteria())
         std::printf("%s\n", N.c_str());
       return 0;
-    } else if (A == "--threads") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.Scope.Threads = static_cast<unsigned>(std::atol(V));
-    } else if (A == "--max-local") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.Scope.MaxLocalSubject = static_cast<unsigned>(std::atol(V));
-    } else if (A == "--max-local-other") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.Scope.MaxLocalOther = static_cast<unsigned>(std::atol(V));
-    } else if (A == "--max-global") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.Scope.MaxGlobal = static_cast<unsigned>(std::atol(V));
-    } else if (A == "--max-alphabet") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.Scope.MaxAlphabet = static_cast<unsigned>(std::atol(V));
-    } else if (A == "--max-shapes") {
-      const char *V = NextArg(A.c_str());
-      if (!V)
-        return 2;
-      Opt.MaxShapes = static_cast<uint64_t>(std::atoll(V));
     } else if (A == "--spec") {
       const char *V = NextArg(A.c_str());
       if (!V)

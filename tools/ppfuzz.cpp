@@ -31,14 +31,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliArgs.h"
 #include "fuzz/Campaign.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 using namespace pushpull;
 
@@ -60,20 +59,12 @@ static std::vector<std::string> splitList(const char *Arg) {
 }
 
 static int replay(const char *Path, const DiffConfig &Diff) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path);
+  ScenarioFile F = loadScenarioFile(Path);
+  if (!F.ok()) {
+    std::fprintf(stderr, "%s\n", F.Diagnostic.c_str());
     return 2;
   }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  ScenarioParseResult PR = parseScenario(Buf.str());
-  if (!PR.ok()) {
-    std::fprintf(stderr, "%s:%zu: error: %s\n", Path, PR.ErrorLine,
-                 PR.Error.c_str());
-    return 2;
-  }
-  BuiltCase Case = fromScenario(*PR.Parsed);
+  BuiltCase Case = fromScenario(*F.Parsed);
   DiffReport R = DiffRunner(Diff).run(Case);
   std::printf("replay: %s (engine %s, %zu threads)\n%s", Path,
               Case.Engine.c_str(), Case.Threads.size(), R.toString().c_str());
@@ -91,19 +82,8 @@ int main(int argc, char **argv) {
   C.ReproDir = "scenarios/regress";
   C.Verbose = true;
 
-  auto NumArg = [&](int &I, const char *Flag, long &Out) {
-    if (std::strcmp(argv[I], Flag) != 0)
-      return false;
-    if (I + 1 >= argc || (Out = std::strtol(argv[++I], nullptr, 10)) < 0) {
-      std::fprintf(stderr, "error: %s needs a non-negative integer\n", Flag);
-      std::exit(2);
-    }
-    return true;
-  };
-
   const char *ReplayPath = nullptr;
   for (int I = 1; I < argc; ++I) {
-    long N = 0;
     if (std::strcmp(argv[I], "--replay") == 0) {
       if (I + 1 >= argc) {
         std::fprintf(stderr, "error: --replay needs a scenario file\n");
@@ -112,22 +92,12 @@ int main(int argc, char **argv) {
       ReplayPath = argv[++I];
       continue;
     }
-    if (NumArg(I, "--seed", N)) {
-      C.Gen.Seed = static_cast<uint64_t>(N);
+    if (numericFlag(argc, argv, I, "--seed", C.Gen.Seed) ||
+        numericFlag(argc, argv, I, "--runs", C.Runs) ||
+        numericFlag(argc, argv, I, "--max-seconds", C.MaxSeconds, 0,
+                    UINT32_MAX) ||
+        numericFlag(argc, argv, I, "--mutant-pct", C.MutantPct, 0, 100))
       continue;
-    }
-    if (NumArg(I, "--runs", N)) {
-      C.Runs = static_cast<uint64_t>(N);
-      continue;
-    }
-    if (NumArg(I, "--max-seconds", N)) {
-      C.MaxSeconds = static_cast<double>(N);
-      continue;
-    }
-    if (NumArg(I, "--mutant-pct", N)) {
-      C.MutantPct = static_cast<unsigned>(N);
-      continue;
-    }
     if (std::strcmp(argv[I], "--engines") == 0 && I + 1 < argc) {
       C.Gen.Engines = splitList(argv[++I]);
       continue;

@@ -34,15 +34,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliArgs.h"
 #include "analysis/MoverTable.h"
 #include "sim/Scenario.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 using namespace pushpull;
 
@@ -62,7 +61,8 @@ int main(int argc, char **argv) {
   bool ShowTrace = false;
   bool ShowCriteria = false;
   bool ShowStats = false;
-  long Threads = -1, MaxPairs = -1, MaxReachable = -1;
+  unsigned Threads = 0;
+  size_t MaxPairs = 0, MaxReachable = 0;
   Reduction Reduce = Reduction::None;
   bool HaveReduce = false;
   bool UseCommutDB = false, StaticProve = false;
@@ -77,16 +77,6 @@ int main(int argc, char **argv) {
       std::exit(2);
     }
     HaveReduce = true;
-  };
-
-  auto NumArg = [&](int &I, const char *Flag, long &Out) {
-    if (std::strcmp(argv[I], Flag) != 0)
-      return false;
-    if (I + 1 >= argc || (Out = std::strtol(argv[++I], nullptr, 10)) <= 0) {
-      std::fprintf(stderr, "error: %s needs a positive integer\n", Flag);
-      std::exit(2);
-    }
-    return true;
   };
 
   for (int I = 1; I < argc; ++I) {
@@ -126,8 +116,9 @@ int main(int argc, char **argv) {
       ParseReduction(argv[I] + 12);
       continue;
     }
-    if (NumArg(I, "--threads", Threads) || NumArg(I, "--max-pairs", MaxPairs) ||
-        NumArg(I, "--max-reachable", MaxReachable))
+    if (numericFlag(argc, argv, I, "--threads", Threads, 1, MaxThreadsFlag) ||
+        numericFlag(argc, argv, I, "--max-pairs", MaxPairs, 1) ||
+        numericFlag(argc, argv, I, "--max-reachable", MaxReachable, 1))
       continue;
     Path = argv[I];
   }
@@ -143,30 +134,21 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path);
-    return 2;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-
-  ScenarioParseResult PR = parseScenario(Buf.str());
-  if (!PR.ok()) {
-    std::fprintf(stderr, "%s:%zu: error: %s\n", Path, PR.ErrorLine,
-                 PR.Error.c_str());
+  ScenarioFile F = loadScenarioFile(Path);
+  if (!F.ok()) {
+    std::fprintf(stderr, "%s\n", F.Diagnostic.c_str());
     return 2;
   }
 
-  Scenario &S = *PR.Parsed;
-  if (Threads > 0)
-    S.ExplorerThreads = static_cast<unsigned>(Threads);
+  Scenario &S = *F.Parsed;
+  if (Threads)
+    S.ExplorerThreads = Threads;
   if (HaveReduce)
     S.ExplorerReduction = Reduce;
-  if (MaxPairs > 0)
-    S.Pre.MaxPairs = static_cast<size_t>(MaxPairs);
-  if (MaxReachable > 0)
-    S.Movers.MaxReachableSets = static_cast<size_t>(MaxReachable);
+  if (MaxPairs)
+    S.Pre.MaxPairs = MaxPairs;
+  if (MaxReachable)
+    S.Movers.MaxReachableSets = MaxReachable;
   std::printf("spec:     %s\n", S.Spec->name().c_str());
   std::printf("engine:   %s\n", S.Engine.c_str());
   std::printf("threads:  %zu\n", S.Threads.size());

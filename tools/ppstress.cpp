@@ -45,6 +45,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliArgs.h"
 #include "fuzz/DiffRunner.h"
 #include "sim/Scenario.h"
 #include "stress/StressRunner.h"
@@ -52,26 +53,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 using namespace pushpull;
 
 static int replay(const char *Path) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path);
+  ScenarioFile F = loadScenarioFile(Path);
+  if (!F.ok()) {
+    std::fprintf(stderr, "%s\n", F.Diagnostic.c_str());
     return 2;
   }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  ScenarioParseResult PR = parseScenario(Buf.str());
-  if (!PR.ok()) {
-    std::fprintf(stderr, "%s:%zu: error: %s\n", Path, PR.ErrorLine,
-                 PR.Error.c_str());
-    return 2;
-  }
-  BuiltCase Case = fromScenario(*PR.Parsed);
+  BuiltCase Case = fromScenario(*F.Parsed);
   DiffReport R = DiffRunner().run(Case);
   std::printf("replay: %s (engine %s, %zu threads, %zu picks%s)\n%s", Path,
               Case.Engine.c_str(), Case.Threads.size(),
@@ -114,15 +105,6 @@ int main(int argc, char **argv) {
   bool AllEngines = false, Bench = false, ExpectFailure = false;
   const char *ReplayPath = nullptr;
 
-  auto NumArg = [&](int &I, const char *Flag, long &Out) {
-    if (std::strcmp(argv[I], Flag) != 0)
-      return false;
-    if (I + 1 >= argc || (Out = std::strtol(argv[++I], nullptr, 10)) < 0) {
-      std::fprintf(stderr, "error: %s needs a non-negative integer\n", Flag);
-      std::exit(2);
-    }
-    return true;
-  };
   auto StrArg = [&](int &I, const char *Flag, const char *&Out) {
     if (std::strcmp(argv[I], Flag) != 0)
       return false;
@@ -135,7 +117,6 @@ int main(int argc, char **argv) {
   };
 
   for (int I = 1; I < argc; ++I) {
-    long N = 0;
     const char *S = nullptr;
     if (StrArg(I, "--replay", S)) {
       ReplayPath = S;
@@ -157,46 +138,19 @@ int main(int argc, char **argv) {
       C.DumpDir = S;
       continue;
     }
-    if (NumArg(I, "--workers", N)) {
-      C.Workers = static_cast<unsigned>(N);
+    if (numericFlag(argc, argv, I, "--workers", C.Workers, 1,
+                    MaxThreadsFlag) ||
+        numericFlag(argc, argv, I, "--threads-per-worker", C.ThreadsPerWorker,
+                    1, MaxThreadsFlag) ||
+        numericFlag(argc, argv, I, "--rounds", C.Rounds) ||
+        numericFlag(argc, argv, I, "--duration-ms", C.DurationMs) ||
+        numericFlag(argc, argv, I, "--think-us", C.ThinkUs) ||
+        numericFlag(argc, argv, I, "--tx", C.TxPerThread) ||
+        numericFlag(argc, argv, I, "--ops", C.OpsPerTx) ||
+        numericFlag(argc, argv, I, "--seed", C.Seed) ||
+        numericFlag(argc, argv, I, "--stripes", C.Stripes, 0, 1 << 16) ||
+        numericFlag(argc, argv, I, "--window", C.WindowCommits))
       continue;
-    }
-    if (NumArg(I, "--threads-per-worker", N)) {
-      C.ThreadsPerWorker = static_cast<unsigned>(N);
-      continue;
-    }
-    if (NumArg(I, "--rounds", N)) {
-      C.Rounds = static_cast<unsigned>(N);
-      continue;
-    }
-    if (NumArg(I, "--duration-ms", N)) {
-      C.DurationMs = static_cast<uint64_t>(N);
-      continue;
-    }
-    if (NumArg(I, "--think-us", N)) {
-      C.ThinkUs = static_cast<unsigned>(N);
-      continue;
-    }
-    if (NumArg(I, "--tx", N)) {
-      C.TxPerThread = static_cast<unsigned>(N);
-      continue;
-    }
-    if (NumArg(I, "--ops", N)) {
-      C.OpsPerTx = static_cast<unsigned>(N);
-      continue;
-    }
-    if (NumArg(I, "--seed", N)) {
-      C.Seed = static_cast<uint64_t>(N);
-      continue;
-    }
-    if (NumArg(I, "--stripes", N)) {
-      C.Stripes = static_cast<unsigned>(N);
-      continue;
-    }
-    if (NumArg(I, "--window", N)) {
-      C.WindowCommits = static_cast<uint64_t>(N);
-      continue;
-    }
     if (std::strcmp(argv[I], "--no-check") == 0) {
       C.CheckWindows = false;
       continue;
