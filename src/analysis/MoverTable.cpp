@@ -312,15 +312,12 @@ ProveResult pushpull::proveSerializable(const Scenario &S,
   // which engine the scenario will actually run.
   std::string Surface = "engine " + S.Engine;
   {
-    MoverChecker Movers(*S.Spec, S.Movers, S.Pre);
-    PushPullMachine M(*S.Spec, Movers);
-    std::string Err;
-    std::unique_ptr<TMEngine> Eng = makeEngine(S.Engine, S.EngineOpts, M, Err);
-    if (!Eng) {
-      R.Detail = "cannot build engine: " + Err;
+    CaseRun Run(S, MachineConfig{});
+    if (!Run.ok()) {
+      R.Detail = "cannot build engine: " + Run.error();
       return R;
     }
-    uint32_t Mask = Eng->ruleMask();
+    uint32_t Mask = Run.Engine->ruleMask();
     std::string Rules;
     static const RuleKind Kinds[] = {
         RuleKind::App,  RuleKind::UnApp,  RuleKind::Push,  RuleKind::UnPush,
@@ -328,8 +325,9 @@ ProveResult pushpull::proveSerializable(const Scenario &S,
     for (RuleKind K : Kinds)
       if (Mask & ruleBit(K))
         Rules += (Rules.empty() ? "" : ",") + toString(K);
-    Surface += " (rules=" + Rules +
-               (Eng->pullsUncommitted() ? ", pulls-uncommitted" : "") + ")";
+    if (Run.Engine->pullsUncommitted())
+      Rules += ", pulls-uncommitted";
+    Surface += " (rules=" + Rules + ")";
   }
 
   // Resolve every call of every thread to its probe instances.

@@ -5,7 +5,6 @@
 #include "check/Serializability.h"
 #include "core/Invariants.h"
 #include "sim/Scheduler.h"
-#include "tm/Engine.h"
 
 using namespace pushpull;
 
@@ -52,46 +51,30 @@ bool pushpull::engineExpectedOpaque(const std::string &Engine) {
   return Engine != "dependent";
 }
 
-BuiltCase pushpull::buildCase(const FuzzCase &Case, std::string &Error) {
-  BuiltCase B;
-  B.Spec = Case.buildSpec(Error);
-  B.Engine = Case.Engine;
-  B.EngineOpts = Case.EngineOpts;
-  B.Policy = Case.Policy;
-  B.ScheduleSeed = Case.ScheduleSeed;
-  B.MaxSteps = Case.MaxSteps;
-  B.ChangePoints = Case.ChangePoints;
-  B.Threads = Case.Threads;
-  return B;
-}
-
-BuiltCase pushpull::fromScenario(const Scenario &S) {
-  BuiltCase B;
-  B.Spec = S.Spec;
-  B.Engine = S.Engine;
-  B.EngineOpts = S.EngineOpts;
-  B.Policy = S.Policy;
-  B.ScheduleSeed = S.ScheduleSeed;
-  B.MaxSteps = S.MaxSteps;
-  B.ChangePoints = S.ChangePoints;
-  B.ReplayPicks = S.ReplayPicks;
-  B.DisabledCriterion = S.DisabledCriterion;
-  B.Threads = S.Threads;
-  return B;
+Scenario pushpull::buildCase(const FuzzCase &Case, std::string &Error) {
+  SpecAssembler Parts;
+  for (const SpecDesc &D : Case.Specs)
+    if (!Parts.add(D.Kind, D.Opts, Error))
+      return Scenario();
+  Scenario S = Case;
+  S.Spec = Parts.spec();
+  if (!S.Spec)
+    Error = "fuzz case declares no spec";
+  return S;
 }
 
 DiffReport DiffRunner::run(const FuzzCase &Case) const {
   std::string Error;
-  BuiltCase B = buildCase(Case, Error);
-  if (!B.Spec) {
+  Scenario S = buildCase(Case, Error);
+  if (!S.Spec) {
     DiffReport R;
     R.BuildError = Error;
     return R;
   }
-  return run(B);
+  return run(std::move(S));
 }
 
-DiffReport DiffRunner::run(const BuiltCase &Case) const {
+DiffReport DiffRunner::run(Scenario Case) const {
   DiffReport Report;
   if (!Case.Spec) {
     Report.BuildError = "case has no spec";
@@ -101,18 +84,18 @@ DiffReport DiffRunner::run(const BuiltCase &Case) const {
     Report.BuildError = "case has no threads";
     return Report;
   }
+  Case.Movers = Config.Movers;
+  Case.Pre = Config.Pre;
+  if (!Config.DisabledCriterion.empty())
+    Case.DisabledCriterion = Config.DisabledCriterion;
 
   memstats::Snapshot MemBefore = memstats::read();
-  MoverChecker Movers(*Case.Spec, Config.Movers, Config.Pre);
 
   // (3) Invariants after every rule firing, via the observation hook.  The
   // hook receives the machine that fired — engines probe on *copies* of
   // the machine (optimistic validation dry-runs), and those firings are
   // checked against the copy's own configuration.
   MachineConfig MC;
-  MC.DisabledCriterion = Config.DisabledCriterion.empty()
-                             ? Case.DisabledCriterion
-                             : Config.DisabledCriterion;
   if (Config.CheckInvariantsEachRule) {
     MC.OnRuleApplied = [&Report, this](const PushPullMachine &FM, RuleKind K,
                                        TxId T) {
@@ -135,26 +118,14 @@ DiffReport DiffRunner::run(const BuiltCase &Case) const {
     };
   }
 
-  PushPullMachine M(*Case.Spec, Movers, MC);
-  for (const auto &P : Case.Threads)
-    M.addThread(P);
-
-  std::string EngineError;
-  std::unique_ptr<TMEngine> Engine =
-      makeEngine(Case.Engine, Case.EngineOpts, M, EngineError);
-  if (!Engine) {
-    Report.BuildError = EngineError;
+  CaseRun Run(Case, std::move(MC));
+  if (!Run.ok()) {
+    Report.BuildError = Run.error();
     return Report;
   }
   Report.Built = true;
-
-  SchedulerConfig SC;
-  SC.Policy = Case.Policy;
-  SC.Seed = Case.ScheduleSeed;
-  SC.MaxSteps = Case.MaxSteps;
-  SC.ChangePoints = Case.ChangePoints;
-  SC.ReplayPicks = Case.ReplayPicks;
-  Report.Stats = Scheduler(SC).run(*Engine);
+  const PushPullMachine &M = Run.Machine;
+  Report.Stats = Scheduler(Case.schedule()).run(*Run.Engine);
 
   // (1) Atomic-oracle replay in commit order — the witness Theorem 5.17's
   // proof constructs, so anything but Yes is suspect (No: discrepancy;
@@ -175,12 +146,7 @@ DiffReport DiffRunner::run(const BuiltCase &Case) const {
   Report.OpacityViolated =
       engineExpectedOpaque(Case.Engine) && !Report.Opacity.InOpaqueFragment;
 
-  Report.Caches.Intern = Case.Spec->internStats();
-  Report.Caches.MoverMemoHits = Movers.memoHits();
-  Report.Caches.MoverMemoMisses = Movers.memoMisses();
-  Report.Caches.PrecongruencePairs = Movers.precongruence().pairsVisited();
-  Report.Caches.ReachableSets = Movers.reachableComputedCount();
-  Report.Caches.Memory = memstats::read().delta(MemBefore);
+  Run.fillCaches(Report.Caches, MemBefore);
   return Report;
 }
 

@@ -110,32 +110,13 @@ struct DiffReport {
   std::string toString() const;
 };
 
-/// A case with its spec already built (the form replay and the campaign
-/// share; FuzzCase carries the symbolic descriptors, BuiltCase the
-/// constructed objects).
-struct BuiltCase {
-  std::shared_ptr<const SequentialSpec> Spec;
-  std::string Engine;
-  std::map<std::string, std::string> EngineOpts;
-  SchedulePolicy Policy = SchedulePolicy::RandomUniform;
-  uint64_t ScheduleSeed = 1;
-  uint64_t MaxSteps = 30000;
-  unsigned ChangePoints = 3;
-  /// For SchedulePolicy::Replay (`.ppsched` reproducers).
-  std::vector<uint32_t> ReplayPicks;
-  /// Scenario-level fault injection (`inject ...`); the runner applies it
-  /// when DiffConfig::DisabledCriterion is empty.
-  std::string DisabledCriterion;
-  std::vector<std::vector<CodePtr>> Threads;
-};
+/// A built fuzz case is a Scenario; perfbench names it BuiltCase.
+using BuiltCase = Scenario;
 
-/// Build a FuzzCase's spec (Error + null Spec on bad descriptors).
-BuiltCase buildCase(const FuzzCase &Case, std::string &Error);
-
-/// Adapt a parsed scenario (ppfuzz --replay, regress corpus) to a
-/// BuiltCase; the scenario's check directives are ignored — the runner
-/// always performs the full differential battery.
-BuiltCase fromScenario(const Scenario &S);
+/// Build a FuzzCase into the scenario DiffRunner runs: its spec parts
+/// assembled as the parser assembles them (Error and a null Spec on a bad
+/// descriptor).
+Scenario buildCase(const FuzzCase &Case, std::string &Error);
 
 /// Rules an engine's strategy can ever fire, as a bitmask over RuleKind.
 /// Campaigns assert each engine's fuzzed runs actually exercised its whole
@@ -153,7 +134,10 @@ class DiffRunner {
 public:
   explicit DiffRunner(DiffConfig Config = {}) : Config(std::move(Config)) {}
 
-  DiffReport run(const BuiltCase &Case) const;
+  /// Run \p Case under DiffConfig's mover and precongruence limits, and
+  /// DiffConfig::DisabledCriterion when set.  Check directives are
+  /// ignored: the runner always performs the full differential battery.
+  DiffReport run(Scenario Case) const;
   DiffReport run(const FuzzCase &Case) const;
 
   const DiffConfig &config() const { return Config; }

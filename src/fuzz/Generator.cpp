@@ -2,10 +2,8 @@
 
 #include "fuzz/Generator.h"
 
-#include "lang/Printer.h"
 #include "sim/Scenario.h"
 #include "sim/Workload.h"
-#include "spec/CompositeSpec.h"
 
 #include <algorithm>
 #include <cassert>
@@ -49,16 +47,9 @@ size_t FuzzCase::totalTxs() const {
 
 std::string FuzzCase::toScenarioText() const {
   std::string Out = "# ppfuzz case (replay with: ppfuzz --replay <file>)\n";
-  for (const SpecDesc &D : Specs) {
-    Out += "spec " + D.Kind;
-    for (const auto &[K, V] : D.Opts)
-      Out += " " + K + (V.empty() ? "" : "=" + V);
-    Out += "\n";
-  }
-  Out += "engine " + Engine;
-  for (const auto &[K, V] : EngineOpts)
-    Out += " " + K + (V.empty() ? "" : "=" + V);
-  Out += "\n";
+  for (const SpecDesc &D : Specs)
+    Out += directiveLine("spec " + D.Kind, D.Opts);
+  Out += directiveLine("engine " + Engine, EngineOpts);
   const char *PolicyName = Policy == SchedulePolicy::RoundRobin ? "roundrobin"
                            : Policy == SchedulePolicy::RandomUniform
                                ? "random"
@@ -67,46 +58,11 @@ std::string FuzzCase::toScenarioText() const {
          " seed=" + std::to_string(ScheduleSeed) +
          " maxsteps=" + std::to_string(MaxSteps) +
          " changepoints=" + std::to_string(ChangePoints) + "\n";
-  for (const auto &Txs : Threads) {
-    Out += "thread ";
-    for (size_t I = 0; I < Txs.size(); ++I) {
-      if (I)
-        Out += "; ";
-      Out += printCode(Txs[I]);
-    }
-    Out += "\n";
-  }
+  for (const auto &Txs : Threads)
+    Out += threadLine(Txs);
   // The standard check battery, so reproducers also run under plain pprun.
   Out += "check serializability\ncheck opacity\ncheck invariants\n";
   return Out;
-}
-
-std::shared_ptr<const SequentialSpec>
-FuzzCase::buildSpec(std::string &Error) const {
-  if (Specs.empty()) {
-    Error = "fuzz case declares no spec";
-    return nullptr;
-  }
-  std::vector<std::pair<std::string, std::shared_ptr<const SequentialSpec>>>
-      Parts;
-  for (const SpecDesc &D : Specs) {
-    std::string Name;
-    auto Part = makeSpecPart(D.Kind, D.Opts, Name, Error);
-    if (!Part)
-      return nullptr;
-    for (const auto &[Existing, _] : Parts)
-      if (Existing == Name) {
-        Error = "duplicate spec name '" + Name + "'";
-        return nullptr;
-      }
-    Parts.push_back({Name, std::move(Part)});
-  }
-  if (Parts.size() == 1)
-    return Parts[0].second;
-  auto Composite = std::make_shared<CompositeSpec>();
-  for (auto &[Name, Part] : Parts)
-    Composite->add(Name, std::move(Part));
-  return Composite;
 }
 
 Generator::Generator(GeneratorConfig C) : Config(std::move(C)), R(Config.Seed) {
@@ -166,20 +122,7 @@ Generator::makePrograms(const SpecDesc &Desc, unsigned Threads) {
   WC.ReadPct = static_cast<unsigned>(R.range(20, 80));
   WC.Seed = R.next();
 
-  if (const auto *S = dynamic_cast<const MapSpec *>(Part.get()))
-    return genMapWorkload(*S, WC);
-  if (const auto *S = dynamic_cast<const RegisterSpec *>(Part.get()))
-    return genRegisterWorkload(*S, WC);
-  if (const auto *S = dynamic_cast<const SetSpec *>(Part.get()))
-    return genSetWorkload(*S, WC);
-  if (const auto *S = dynamic_cast<const CounterSpec *>(Part.get()))
-    return genCounterWorkload(*S, WC);
-  if (const auto *S = dynamic_cast<const QueueSpec *>(Part.get()))
-    return genQueueWorkload(*S, WC);
-  if (const auto *S = dynamic_cast<const BankSpec *>(Part.get()))
-    return genBankWorkload(*S, WC);
-  assert(false && "no workload mix for spec kind");
-  return {};
+  return genWorkload(*Part, WC);
 }
 
 FuzzCase Generator::next() {

@@ -24,17 +24,14 @@
 #define PUSHPULL_FUZZ_GENERATOR_H
 
 #include "lang/Ast.h"
-#include "sim/Scheduler.h"
+#include "sim/Scenario.h"
 #include "support/Rng.h"
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace pushpull {
-
-class SequentialSpec;
 
 /// One spec part in scenario-directive form (kind plus key=value options).
 /// Kept symbolic so cases serialize and so the shrinker can shrink domains.
@@ -43,18 +40,14 @@ struct SpecDesc {
   std::map<std::string, std::string> Opts;
 };
 
-/// A complete generated test case.
-struct FuzzCase {
+/// A complete generated test case: a Scenario (engine, schedule, and
+/// per-thread sequences of Tx nodes) whose spec is still symbolic.  Spec
+/// stays null; buildCase assembles it from Specs.
+struct FuzzCase : Scenario {
+  FuzzCase() { MaxSteps = 30000; } // Tighter than a scenario file's.
+
   /// One part, or several composing into a CompositeSpec.
   std::vector<SpecDesc> Specs;
-  std::string Engine = "optimistic";
-  std::map<std::string, std::string> EngineOpts;
-  SchedulePolicy Policy = SchedulePolicy::RandomUniform;
-  uint64_t ScheduleSeed = 1;
-  uint64_t MaxSteps = 30000;
-  unsigned ChangePoints = 3;
-  /// Per-thread transaction sequences (each element a Tx node).
-  std::vector<std::vector<CodePtr>> Threads;
 
   /// Method calls across all threads (the shrinker's size metric).
   size_t totalOps() const;
@@ -62,10 +55,6 @@ struct FuzzCase {
 
   /// Render as a pprun/ppfuzz-replayable scenario file.
   std::string toScenarioText() const;
-
-  /// Build the composed SequentialSpec from the descriptors.  Returns
-  /// nullptr and sets \p Error on a bad descriptor.
-  std::shared_ptr<const SequentialSpec> buildSpec(std::string &Error) const;
 };
 
 /// Generation knobs.

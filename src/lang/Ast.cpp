@@ -4,6 +4,7 @@
 
 #include "support/Str.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace pushpull;
@@ -98,6 +99,7 @@ CodePtr Code::makeCall(MethodExpr M) {
 CodePtr Code::makeSeq(CodePtr L, CodePtr R) {
   assert(L && R && "seq of null code");
   Code *C = new Code(CodeKind::Seq);
+  C->Height = 1 + std::max(L->Height, R->Height);
   C->Lhs = std::move(L);
   C->Rhs = std::move(R);
   return CodePtr(C);
@@ -106,6 +108,7 @@ CodePtr Code::makeSeq(CodePtr L, CodePtr R) {
 CodePtr Code::makeChoice(CodePtr L, CodePtr R) {
   assert(L && R && "choice of null code");
   Code *C = new Code(CodeKind::Choice);
+  C->Height = 1 + std::max(L->Height, R->Height);
   C->Lhs = std::move(L);
   C->Rhs = std::move(R);
   return CodePtr(C);
@@ -114,6 +117,7 @@ CodePtr Code::makeChoice(CodePtr L, CodePtr R) {
 CodePtr Code::makeLoop(CodePtr B) {
   assert(B && "loop of null code");
   Code *C = new Code(CodeKind::Loop);
+  C->Height = 1 + B->Height;
   C->Body = std::move(B);
   return CodePtr(C);
 }
@@ -121,6 +125,7 @@ CodePtr Code::makeLoop(CodePtr B) {
 CodePtr Code::makeTx(CodePtr B) {
   assert(B && "tx of null code");
   Code *C = new Code(CodeKind::Tx);
+  C->Height = 1 + B->Height;
   C->Body = std::move(B);
   return CodePtr(C);
 }

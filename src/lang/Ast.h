@@ -89,6 +89,10 @@ public:
   /// Structural (not pointer) equality.
   bool equals(const Code &O) const;
 
+  /// Nodes on the longest path down to a leaf (a leaf is 1); parsed code
+  /// is at most MaxCodeDepth high.
+  unsigned height() const { return Height; }
+
   /// This node rendered as by printCode, computed once and cached on the
   /// node (nodes are immutable and shared, and the explorer's
   /// configuration keys render remaining code on the innermost loop).
@@ -109,6 +113,7 @@ private:
   friend bool fin(const CodePtr &C);
 
   CodeKind Kind;
+  unsigned Height = 1;
   MethodExpr Call;
   CodePtr Lhs, Rhs, Body;
   /// Lazily filled by printed(); never part of node identity.

@@ -2,8 +2,11 @@
 
 #include "lang/Parser.h"
 
+#include "support/Str.h"
+
 #include <cassert>
 #include <cctype>
+#include <cstdint>
 
 using namespace pushpull;
 
@@ -27,6 +30,16 @@ public:
   size_t errorPos() const { return ErrPos; }
 
 private:
+  CodePtr tooDeep() {
+    return fail("program nested or sequenced more than " +
+                std::to_string(MaxCodeDepth) + " levels deep");
+  }
+
+  /// \p C, or a parse error when it is higher than MaxCodeDepth.
+  CodePtr bounded(CodePtr C) {
+    return C->height() > MaxCodeDepth ? tooDeep() : C;
+  }
+
   CodePtr fail(const std::string &Msg) {
     if (Err.empty()) {
       Err = Msg;
@@ -93,7 +106,7 @@ private:
       CodePtr R = parseSeq();
       if (!R)
         return nullptr;
-      L = choice(std::move(L), std::move(R));
+      L = bounded(choice(std::move(L), std::move(R)));
     }
     return L;
   }
@@ -104,7 +117,7 @@ private:
       CodePtr R = parsePostfix();
       if (!R)
         return nullptr;
-      L = seq(std::move(L), std::move(R));
+      L = bounded(seq(std::move(L), std::move(R)));
     }
     return L;
   }
@@ -112,7 +125,7 @@ private:
   CodePtr parsePostfix() {
     CodePtr C = parsePrim();
     while (C && eat('*'))
-      C = loop(std::move(C));
+      C = bounded(loop(std::move(C)));
     return C;
   }
 
@@ -121,11 +134,15 @@ private:
     if (Pos >= Text.size())
       return fail("unexpected end of input");
     if (eat('(')) {
+      // Errors are sticky, so a failed parse need not restore Nesting.
+      if (++Nesting > MaxCodeDepth)
+        return tooDeep();
       CodePtr C = parseChoice();
       if (!C)
         return nullptr;
       if (!eat(')'))
         return fail("expected ')'");
+      --Nesting;
       return C;
     }
     if (keyword("skip"))
@@ -133,12 +150,15 @@ private:
     if (keyword("tx")) {
       if (!eat('{'))
         return fail("expected '{' after tx");
+      if (++Nesting > MaxCodeDepth)
+        return tooDeep();
       CodePtr B = parseChoice();
       if (!B)
         return nullptr;
       if (!eat('}'))
         return fail("expected '}' closing tx");
-      return tx(std::move(B));
+      --Nesting;
+      return bounded(tx(std::move(B)));
     }
     return parseCall();
   }
@@ -197,8 +217,16 @@ private:
         fail("expected integer literal");
         return std::nullopt;
       }
-      return Arg(static_cast<Value>(
-          std::stoll(Text.substr(Start, Pos - Start))));
+      // Magnitudes up to 2^63 fit a Value once negated.
+      bool Neg = Text[Start] == '-';
+      std::optional<uint64_t> Mag = parseUnsigned(
+          std::string_view(Text).substr(Start + Neg, Pos - Start - Neg), 0,
+          uint64_t{INT64_MAX} + Neg);
+      if (!Mag) {
+        fail("integer literal out of range");
+        return std::nullopt;
+      }
+      return Arg(Neg ? static_cast<Value>(0 - *Mag) : static_cast<Value>(*Mag));
     }
     std::string Id = ident();
     if (Id.empty()) {
@@ -210,6 +238,8 @@ private:
 
   const std::string &Text;
   size_t Pos = 0;
+  /// Open parentheses and transactions around the cursor.
+  unsigned Nesting = 0;
   std::string Err;
   size_t ErrPos = 0;
 };

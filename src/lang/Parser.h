@@ -32,6 +32,12 @@
 
 namespace pushpull {
 
+/// The highest program (Code::height()) and deepest bracket nesting the
+/// parser accepts; a sequence of more statements is too high as well.
+/// It bounds the stack depth of the parser, the printer, the AST
+/// destructor and every other recursive walk over parsed code.
+constexpr unsigned MaxCodeDepth = 1000;
+
 /// Outcome of a parse: either Code is non-null, or Error describes the
 /// failure and ErrorPos is the byte offset it was detected at.
 struct ParseResult {

@@ -6,6 +6,7 @@
 #include "check/Serializability.h"
 #include "core/Invariants.h"
 #include "lang/Parser.h"
+#include "lang/Printer.h"
 #include "sim/Explorer.h"
 #include "sim/Scheduler.h"
 #include "spec/BankSpec.h"
@@ -26,9 +27,9 @@
 #include "tm/OptimisticTM.h"
 #include "tm/PessimisticCommitTM.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 using namespace pushpull;
@@ -59,12 +60,56 @@ options(const std::vector<std::string> &Ws, size_t From) {
   return Out;
 }
 
-uint64_t numOr(const std::map<std::string, std::string> &Opts,
-               const std::string &Key, uint64_t Default) {
+using Options = std::map<std::string, std::string>;
+
+/// Read option \p Key as a decimal integer in [\p Min, \p Max] into
+/// \p Out, or \p Default when the option is absent or has no value.
+/// False, with \p Error set, on a malformed, overflowing or out-of-range
+/// value.
+template <typename T>
+bool readNum(const Options &Opts, const std::string &Key, T Default,
+             uint64_t Min, uint64_t Max, T &Out, std::string &Error) {
   auto It = Opts.find(Key);
-  if (It == Opts.end() || It->second.empty())
-    return Default;
-  return std::stoull(It->second);
+  if (It == Opts.end() || It->second.empty()) {
+    Out = Default;
+    return true;
+  }
+  std::optional<uint64_t> V = parseUnsigned(It->second, Min, Max);
+  if (!V) {
+    Error = "option '" + Key + "' needs an integer in [" +
+            std::to_string(Min) + ", " + std::to_string(Max) + "], got '" +
+            It->second + "'";
+    return false;
+  }
+  Out = static_cast<T>(*V);
+  return true;
+}
+
+/// The numeric engine options, read and range-checked in one place so the
+/// parser rejects a bad value at its `engine` line and makeEngine never
+/// builds from one.  Options an engine does not use are checked too.
+struct EngineNumbers {
+  uint64_t Seed = 1;
+  unsigned Every = 2;
+  unsigned Deadlock = 8;
+  unsigned KeyLocks = 1;
+  TxId Irrevocable = 0;
+  unsigned AbortPct = 0;
+  unsigned ConflictPct = 0;
+};
+
+bool readEngineNumbers(const Options &Opts, EngineNumbers &N,
+                       std::string &Error) {
+  const uint64_t U32 = UINT32_MAX;
+  return readNum(Opts, "seed", N.Seed, 0, UINT64_MAX, N.Seed, Error) &&
+         readNum(Opts, "every", N.Every, 1, U32, N.Every, Error) &&
+         readNum(Opts, "deadlock", N.Deadlock, 0, U32, N.Deadlock, Error) &&
+         readNum(Opts, "keylocks", N.KeyLocks, 0, 1, N.KeyLocks, Error) &&
+         readNum(Opts, "irrevocable", N.Irrevocable, 0, U32, N.Irrevocable,
+                 Error) &&
+         readNum(Opts, "abortpct", N.AbortPct, 0, 100, N.AbortPct, Error) &&
+         readNum(Opts, "conflictpct", N.ConflictPct, 0, 100, N.ConflictPct,
+                 Error);
 }
 
 std::string strOr(const std::map<std::string, std::string> &Opts,
@@ -93,59 +138,92 @@ void collectTxs(const CodePtr &C, std::vector<CodePtr> &Out, bool &Bad) {
 } // namespace
 
 std::shared_ptr<const SequentialSpec>
-pushpull::makeSpecPart(const std::string &Kind,
-                       const std::map<std::string, std::string> &Opts,
+pushpull::makeSpecPart(const std::string &Kind, const Options &Opts,
                        std::string &Name, std::string &Error) {
   Name = strOr(Opts, "name", Kind);
+  unsigned A = 0, B = 0, C = 0; // Domain sizes, in constructor order.
+  auto Domain = [&](const char *Key, unsigned Default, unsigned &Out) {
+    return readNum(Opts, Key, Default, 1, MaxSpecDomain, Out, Error);
+  };
   if (Kind == "register")
-    return std::make_shared<RegisterSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "regs", 4)),
-        static_cast<unsigned>(numOr(Opts, "vals", 4)));
+    return Domain("regs", 4, A) && Domain("vals", 4, B)
+               ? std::make_shared<RegisterSpec>(Name, A, B)
+               : nullptr;
   if (Kind == "counter")
-    return std::make_shared<CounterSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "counters", 2)),
-        static_cast<unsigned>(numOr(Opts, "mod", 8)));
+    return Domain("counters", 2, A) && Domain("mod", 8, B)
+               ? std::make_shared<CounterSpec>(Name, A, B)
+               : nullptr;
   if (Kind == "set")
-    return std::make_shared<SetSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "keys", 8)));
+    return Domain("keys", 8, A) ? std::make_shared<SetSpec>(Name, A)
+                                : nullptr;
   if (Kind == "map")
-    return std::make_shared<MapSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "keys", 8)),
-        static_cast<unsigned>(numOr(Opts, "vals", 4)));
+    return Domain("keys", 8, A) && Domain("vals", 4, B)
+               ? std::make_shared<MapSpec>(Name, A, B)
+               : nullptr;
   if (Kind == "queue")
-    return std::make_shared<QueueSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "cap", 4)),
-        static_cast<unsigned>(numOr(Opts, "vals", 2)));
-  if (Kind == "bank")
-    return std::make_shared<BankSpec>(
-        Name, static_cast<unsigned>(numOr(Opts, "accounts", 2)),
-        static_cast<unsigned>(numOr(Opts, "cap", 4)),
-        static_cast<unsigned>(numOr(Opts, "initial", 2)));
+    return Domain("cap", 4, A) && Domain("vals", 2, B)
+               ? std::make_shared<QueueSpec>(Name, A, B)
+               : nullptr;
+  if (Kind == "bank") {
+    if (!Domain("accounts", 2, A) || !Domain("cap", 4, B) ||
+        !readNum(Opts, "initial", 2u, 0, B, C, Error))
+      return nullptr;
+    if (C > B) { // The default initial balance may exceed a small cap.
+      Error = "bank initial balance " + std::to_string(C) +
+              " exceeds cap " + std::to_string(B);
+      return nullptr;
+    }
+    return std::make_shared<BankSpec>(Name, A, B, C);
+  }
   Error = "unknown spec kind '" + Kind + "'";
   return nullptr;
 }
 
+bool SpecAssembler::add(const std::string &Kind, const Options &Opts,
+                        std::string &Error) {
+  std::string Name;
+  auto Part = makeSpecPart(Kind, Opts, Name, Error);
+  if (!Part)
+    return false;
+  for (const auto &[Existing, _] : Parts)
+    if (Existing == Name) {
+      Error = "duplicate spec name '" + Name + "'";
+      return false;
+    }
+  Parts.push_back({Name, std::move(Part)});
+  return true;
+}
+
+std::shared_ptr<const SequentialSpec> SpecAssembler::spec() const {
+  if (Parts.size() <= 1)
+    return Parts.empty() ? nullptr : Parts[0].second;
+  auto Composite = std::make_shared<CompositeSpec>();
+  for (const auto &[Name, Part] : Parts)
+    Composite->add(Name, Part);
+  return Composite;
+}
+
 std::unique_ptr<TMEngine>
-pushpull::makeEngine(const std::string &Name,
-                     const std::map<std::string, std::string> &Opts,
+pushpull::makeEngine(const std::string &Name, const Options &Opts,
                      PushPullMachine &M, std::string &Error) {
-  uint64_t Seed = std::stoull(
-      Opts.count("seed") && !Opts.at("seed").empty() ? Opts.at("seed") : "1");
+  EngineNumbers N;
+  if (!readEngineNumbers(Opts, N, Error))
+    return nullptr;
+  uint64_t Seed = N.Seed;
 
   if (Name == "optimistic")
     return std::make_unique<OptimisticTM>(M, OptimisticConfig{Seed});
   if (Name == "checkpoint") {
     CheckpointConfig C;
     C.Seed = Seed;
-    C.CheckpointEvery = static_cast<unsigned>(numOr(Opts, "every", 2));
+    C.CheckpointEvery = N.Every;
     return std::make_unique<CheckpointTM>(M, C);
   }
   if (Name == "boosting") {
     BoostingConfig C;
     C.Seed = Seed;
-    C.DeadlockThreshold =
-        static_cast<unsigned>(numOr(Opts, "deadlock", 8));
-    C.KeyGranularLocks = numOr(Opts, "keylocks", 1) != 0;
+    C.DeadlockThreshold = N.Deadlock;
+    C.KeyGranularLocks = N.KeyLocks != 0;
     return std::make_unique<BoostingTM>(M, C);
   }
   if (Name == "pessimistic") {
@@ -156,15 +234,13 @@ pushpull::makeEngine(const std::string &Name,
   if (Name == "irrevocable") {
     IrrevocableConfig C;
     C.Seed = Seed;
-    C.IrrevocableThread =
-        static_cast<TxId>(numOr(Opts, "irrevocable", 0));
+    C.IrrevocableThread = N.Irrevocable;
     return std::make_unique<IrrevocableTM>(M, C);
   }
   if (Name == "dependent") {
     DependentConfig C;
     C.Seed = Seed;
-    C.AbortChancePct =
-        static_cast<unsigned>(numOr(Opts, "abortpct", 0));
+    C.AbortChancePct = N.AbortPct;
     return std::make_unique<DependentTM>(M, C);
   }
   if (Name == "early-release")
@@ -178,8 +254,7 @@ pushpull::makeEngine(const std::string &Name,
   if (Name == "hybrid") {
     HybridConfig C;
     C.Seed = Seed;
-    C.ConflictChancePct =
-        static_cast<unsigned>(numOr(Opts, "conflictpct", 0));
+    C.ConflictChancePct = N.ConflictPct;
     for (const std::string &Obj : splitOn(strOr(Opts, "htm", ""), ','))
       if (!Obj.empty())
         C.HtmObjects.insert(Obj);
@@ -187,6 +262,21 @@ pushpull::makeEngine(const std::string &Name,
   }
   Error = "unknown engine '" + Name + "'";
   return nullptr;
+}
+
+std::string pushpull::directiveLine(const std::string &Head,
+                                    const Options &Opts) {
+  std::string Out = Head;
+  for (const auto &[K, V] : Opts)
+    Out += " " + K + (V.empty() ? "" : "=" + V);
+  return Out + "\n";
+}
+
+std::string pushpull::threadLine(const std::vector<CodePtr> &Txs) {
+  std::string Out = "thread ";
+  for (size_t I = 0; I < Txs.size(); ++I)
+    Out += (I ? "; " : "") + printCode(Txs[I]);
+  return Out + "\n";
 }
 
 const std::vector<std::string> &pushpull::allEngineNames() {
@@ -218,9 +308,7 @@ std::vector<CodePtr> pushpull::flattenTransactions(const CodePtr &C,
 ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
   ScenarioParseResult Out;
   auto S = std::make_unique<Scenario>();
-  auto Composite = std::make_shared<CompositeSpec>();
-  std::vector<std::pair<std::string, std::shared_ptr<const SequentialSpec>>>
-      Parts;
+  SpecAssembler Specs;
 
   auto Fail = [&](size_t LineNo, std::string Msg) {
     Out.Error = std::move(Msg);
@@ -243,14 +331,9 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
     if (Directive == "spec") {
       if (Ws.size() < 2)
         return Fail(N + 1, "spec needs a kind");
-      std::string Name, Error;
-      auto Part = makeSpecPart(Ws[1], options(Ws, 2), Name, Error);
-      if (!Part)
+      std::string Error;
+      if (!Specs.add(Ws[1], options(Ws, 2), Error))
         return Fail(N + 1, Error);
-      for (const auto &[ExistingName, _] : Parts)
-        if (ExistingName == Name)
-          return Fail(N + 1, "duplicate spec name '" + Name + "'");
-      Parts.push_back({Name, std::move(Part)});
       continue;
     }
     if (Directive == "engine") {
@@ -258,6 +341,12 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
         return Fail(N + 1, "engine needs a name");
       S->Engine = Ws[1];
       S->EngineOpts = options(Ws, 2);
+      // The name is checked when the engine is built (the linter reports
+      // an unknown one); its numbers are checked here, at their line.
+      EngineNumbers Unused;
+      std::string Error;
+      if (!readEngineNumbers(S->EngineOpts, Unused, Error))
+        return Fail(N + 1, Error);
       continue;
     }
     if (Directive == "schedule") {
@@ -274,10 +363,15 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
       else
         return Fail(N + 1, "unknown schedule policy '" + Ws[1] + "'");
       auto Opts = options(Ws, 2);
-      S->ScheduleSeed = numOr(Opts, "seed", 1);
-      S->MaxSteps = numOr(Opts, "maxsteps", 200000);
-      S->ChangePoints =
-          static_cast<unsigned>(numOr(Opts, "changepoints", 3));
+      std::string Error;
+      if (!readNum(Opts, "seed", uint64_t{1}, 0, UINT64_MAX, S->ScheduleSeed,
+                   Error) ||
+          !readNum(Opts, "maxsteps", uint64_t{200000}, 0, UINT64_MAX,
+                   S->MaxSteps, Error) ||
+          // At most one change point per step of the PCT horizon.
+          !readNum(Opts, "changepoints", 3u, 0, 4096, S->ChangePoints,
+                   Error))
+        return Fail(N + 1, Error);
       if (S->Policy == SchedulePolicy::Replay) {
         std::string Picks = strOr(Opts, "picks", "");
         if (Picks.empty())
@@ -285,11 +379,10 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
         for (const std::string &P : splitOn(Picks, ',')) {
           if (P.empty())
             continue;
-          char *End = nullptr;
-          unsigned long V = std::strtoul(P.c_str(), &End, 10);
-          if (End == P.c_str() || *End != '\0')
+          std::optional<uint64_t> V = parseUnsigned(P, 0, UINT32_MAX);
+          if (!V)
             return Fail(N + 1, "bad replay pick '" + P + "'");
-          S->ReplayPicks.push_back(static_cast<uint32_t>(V));
+          S->ReplayPicks.push_back(static_cast<uint32_t>(*V));
         }
       }
       continue;
@@ -331,18 +424,11 @@ ScenarioParseResult pushpull::parseScenario(const std::string &Text) {
     return Fail(N + 1, "unknown directive '" + Directive + "'");
   }
 
-  if (Parts.empty())
+  S->Spec = Specs.spec();
+  if (!S->Spec)
     return Fail(0, "scenario declares no spec");
   if (S->Threads.empty())
     return Fail(0, "scenario declares no threads");
-
-  if (Parts.size() == 1) {
-    S->Spec = Parts[0].second;
-  } else {
-    for (auto &[Name, Part] : Parts)
-      Composite->add(Name, std::move(Part));
-    S->Spec = Composite;
-  }
   Out.Parsed = std::move(S);
   return Out;
 }
@@ -366,33 +452,54 @@ ScenarioFile pushpull::loadScenarioFile(const std::string &Path) {
   return Out;
 }
 
+SchedulerConfig Scenario::schedule() const {
+  SchedulerConfig SC;
+  SC.Policy = Policy;
+  SC.Seed = ScheduleSeed;
+  SC.MaxSteps = MaxSteps;
+  SC.ChangePoints = ChangePoints;
+  SC.ReplayPicks = ReplayPicks;
+  return SC;
+}
+
+static MachineConfig injecting(MachineConfig MC, const std::string &Criterion) {
+  MC.DisabledCriterion = Criterion;
+  return MC;
+}
+
+CaseRun::CaseRun(const Scenario &S, MachineConfig MC)
+    : Movers(*S.Spec, S.Movers, S.Pre),
+      Machine(*S.Spec, Movers,
+              injecting(std::move(MC), S.DisabledCriterion)) {
+  for (const auto &P : S.Threads)
+    Machine.addThread(P);
+  Engine = makeEngine(S.Engine, S.EngineOpts, Machine, Error);
+}
+
+void CaseRun::fillCaches(CacheStats &C,
+                         const memstats::Snapshot &Before) const {
+  C.Intern = Machine.spec().internStats();
+  C.MoverMemoHits = Movers.memoHits();
+  C.MoverMemoMisses = Movers.memoMisses();
+  C.PrecongruencePairs = Movers.precongruence().pairsVisited();
+  C.ReachableSets = Movers.reachableComputedCount();
+  C.Memory = memstats::read().delta(Before);
+}
+
 ScenarioOutcome pushpull::runScenario(const Scenario &S) {
   ScenarioOutcome Out;
   memstats::Snapshot MemBefore = memstats::read();
-  MoverChecker Movers(*S.Spec, S.Movers, S.Pre);
   MachineConfig MC;
   MC.RecordAudit = true; // Scenario runs are small; keep the discharge log.
-  MC.DisabledCriterion = S.DisabledCriterion;
-  PushPullMachine M(*S.Spec, Movers, MC);
-  for (const auto &P : S.Threads)
-    M.addThread(P);
-
-  std::string EngineError;
-  std::unique_ptr<TMEngine> Engine =
-      makeEngine(S.Engine, S.EngineOpts, M, EngineError);
-  if (!Engine) {
-    Out.CheckResults.push_back("error: " + EngineError);
+  CaseRun Run(S, std::move(MC));
+  if (!Run.ok()) {
+    Out.CheckResults.push_back("error: " + Run.error());
     return Out;
   }
+  PushPullMachine &M = Run.Machine;
+  MoverChecker &Movers = Run.Movers;
 
-  SchedulerConfig SC;
-  SC.Policy = S.Policy;
-  SC.Seed = S.ScheduleSeed;
-  SC.MaxSteps = S.MaxSteps;
-  SC.ChangePoints = S.ChangePoints;
-  SC.ReplayPicks = S.ReplayPicks;
-  Scheduler Sched(SC);
-  Out.Stats = Sched.run(*Engine);
+  Out.Stats = Scheduler(S.schedule()).run(*Run.Engine);
   Out.Trace = M.trace().toString();
   Out.Audit = M.auditToString();
   Out.CommittedLog = M.global().toString();
@@ -462,16 +569,11 @@ ScenarioOutcome pushpull::runScenario(const Scenario &S) {
     }
   }
 
-  Out.Caches.Intern = S.Spec->internStats();
-  Out.Caches.MoverMemoHits = Movers.memoHits();
-  Out.Caches.MoverMemoMisses = Movers.memoMisses();
-  Out.Caches.PrecongruencePairs = Movers.precongruence().pairsVisited();
-  Out.Caches.ReachableSets = Movers.reachableComputedCount();
   if (S.CommutDB) {
     Out.Caches.CommutTableHits = S.CommutDB->tableHits();
     Out.Caches.CommutTableMisses = S.CommutDB->tableMisses();
     Out.Caches.CertChecks = S.CommutDB->certChecks();
   }
-  Out.Caches.Memory = memstats::read().delta(MemBefore);
+  Run.fillCaches(Out.Caches, MemBefore);
   return Out;
 }

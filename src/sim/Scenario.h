@@ -34,6 +34,7 @@
 #include "sim/Reduction.h"
 #include "sim/Scheduler.h"
 #include "sim/Stats.h"
+#include "tm/Engine.h"
 
 #include <map>
 #include <memory>
@@ -42,9 +43,9 @@
 
 namespace pushpull {
 
-class TMEngine;
-
-/// A parsed scenario, ready to run.
+/// A parsed scenario, ready to run: the one description of an engine run,
+/// whether parsed (pprun), built from a FuzzCase (buildCase) or built per
+/// stress round.  CaseRun turns it into a running machine.
 struct Scenario {
   /// The composed specification (single part or composite).
   std::shared_ptr<const SequentialSpec> Spec;
@@ -86,7 +87,15 @@ struct Scenario {
   /// after ppcheck --prove (or pprun --static-prove) established a
   /// whole-program proof for this scenario's engine surface.
   bool SkipOracleReplay = false;
+
+  /// The scheduler settings of this run.
+  SchedulerConfig schedule() const;
 };
+
+/// Upper bound on every spec domain size (regs, vals, keys, ...).  The
+/// mover and oracle checks enumerate state sets, so one map.put over
+/// keys=64 vals=64 already takes about half a second.
+constexpr unsigned MaxSpecDomain = 64;
 
 /// Parse outcome.
 struct ScenarioParseResult {
@@ -117,22 +126,79 @@ ScenarioFile loadScenarioFile(const std::string &Path);
 /// Build one spec part from a scenario-style kind ("register", "counter",
 /// "set", "map", "queue", "bank") and key=value options.  \p Name receives
 /// the part's object name (the "name" option, defaulting to the kind).
-/// Returns nullptr and sets \p Error for an unknown kind.  Shared by the
-/// scenario parser and the fuzzer's case builder.
+/// Returns nullptr and sets \p Error for an unknown kind or a numeric
+/// option that is malformed or outside [1, MaxSpecDomain] (a bank's
+/// initial balance may be 0 and may not exceed its cap).
 std::shared_ptr<const SequentialSpec>
 makeSpecPart(const std::string &Kind,
              const std::map<std::string, std::string> &Opts,
              std::string &Name, std::string &Error);
 
+/// Assembles a case's spec from its parts: one part is the spec, several
+/// compose into a CompositeSpec (the Section 7 mixture).  The parser adds
+/// a part per `spec` line, so each diagnostic names its line.
+class SpecAssembler {
+public:
+  /// Build one part (makeSpecPart) and add it.  False, with \p Error set,
+  /// when the part cannot be built or another part has its name.
+  bool add(const std::string &Kind,
+           const std::map<std::string, std::string> &Opts,
+           std::string &Error);
+
+  /// The assembled spec; null when no part was added.
+  std::shared_ptr<const SequentialSpec> spec() const;
+
+private:
+  std::vector<std::pair<std::string, std::shared_ptr<const SequentialSpec>>>
+      Parts;
+};
+
 /// Build a TM engine by scenario name ("optimistic", "checkpoint",
 /// "boosting", "pessimistic", "irrevocable", "dependent", "early-release",
 /// "htm", "htm-word", "hybrid") over \p M, honouring the engine's
 /// key=value options.  Returns nullptr and sets \p Error for an unknown
-/// name.  Shared by runScenario and the fuzzer's DiffRunner.
+/// name or a malformed or out-of-range numeric option.  In the library
+/// only CaseRun calls it.
 std::unique_ptr<TMEngine>
 makeEngine(const std::string &Name,
            const std::map<std::string, std::string> &Opts,
            PushPullMachine &M, std::string &Error);
+
+/// A scenario built to run: its mover checker, the machine over that
+/// checker holding the threads, and the engine over that machine.  Every
+/// engine run in the library is built here; callers differ only in the
+/// MachineConfig.  Members are declared in ownership order, so the engine
+/// is destroyed before the machine and the machine before the checker.
+/// Not copyable or movable, since the machine and engine refer into it.
+class CaseRun {
+public:
+  /// Build \p S (Spec set) with the caller's machine settings \p MC; the
+  /// checker limits and the fault injection come from \p S.  On a bad
+  /// engine name or option ok() is false and error() says why.
+  CaseRun(const Scenario &S, MachineConfig MC);
+  CaseRun(CaseRun &&) = delete;
+
+  bool ok() const { return Engine != nullptr; }
+  const std::string &error() const { return Error; }
+
+  /// Fill \p C's interning, memo and snapshot counters (since \p Before).
+  void fillCaches(CacheStats &C, const memstats::Snapshot &Before) const;
+
+  MoverChecker Movers;
+  PushPullMachine Machine;
+  std::unique_ptr<TMEngine> Engine;
+
+private:
+  std::string Error;
+};
+
+/// A `spec` or `engine` line as the parser reads it back: \p Head, then
+/// ` key=value` per option (` key` for an empty value).
+std::string directiveLine(const std::string &Head,
+                          const std::map<std::string, std::string> &Opts);
+
+/// A `thread` line: the transactions, printed and `; `-separated.
+std::string threadLine(const std::vector<CodePtr> &Txs);
 
 /// The ten scenario engine names, in canonical order.
 const std::vector<std::string> &allEngineNames();
@@ -166,7 +232,7 @@ struct ScenarioOutcome {
   bool Ok = false;
 };
 
-/// Build the machine and engine, run to quiescence, perform the checks.
+/// Build the case (recording the audit), run it, perform the checks.
 ScenarioOutcome runScenario(const Scenario &S);
 
 } // namespace pushpull

@@ -27,71 +27,49 @@ RunStats Scheduler::run(TMEngine &E) {
   }
   int64_t NextDropPriority = -1; // Drops go below every initial priority.
 
+  std::vector<TxId> Runnable;
   while (!M.quiescent() && Stats.SchedulerSteps < Config.MaxSteps) {
-    // Replay consumes the recording verbatim — no runnable filtering, so
-    // a replayed run performs exactly the recorded step sequence.
+    TxId Pick = 0;
     if (Config.Policy == SchedulePolicy::Replay) {
+      // Replay consumes the recording verbatim — no runnable filtering,
+      // so a replayed run performs exactly the recorded step sequence.
       if (Stats.SchedulerSteps >= Config.ReplayPicks.size())
         break;
-      TxId Pick = Config.ReplayPicks[Stats.SchedulerSteps];
+      Pick = Config.ReplayPicks[Stats.SchedulerSteps];
       if (Pick >= NumThreads)
         break;
-      if (Config.CapturePicks)
-        Config.CapturePicks->push_back(static_cast<uint32_t>(Pick));
-      StepStatus S = E.step(Pick);
-      ++Stats.SchedulerSteps;
-      switch (S) {
-      case StepStatus::Blocked:
-        ++Stats.BlockedSteps;
+    } else {
+      Runnable.clear();
+      for (const ThreadState &Th : M.threads())
+        if (!Th.done())
+          Runnable.push_back(Th.Tid);
+      if (Runnable.empty())
         break;
-      case StepStatus::Committed:
-        ++Stats.Commits;
+      Pick = Runnable[0];
+      switch (Config.Policy) {
+      case SchedulePolicy::RoundRobin:
+        // Next runnable thread at or after the cursor.
+        for (TxId T : Runnable)
+          if (T >= RoundRobinNext) {
+            Pick = T;
+            break;
+          }
+        RoundRobinNext = (Pick + 1) % NumThreads;
         break;
-      case StepStatus::Aborted:
-        ++Stats.Aborts;
+      case SchedulePolicy::RandomUniform:
+        Pick = R.pick(Runnable);
         break;
-      case StepStatus::Progress:
-      case StepStatus::Finished:
+      case SchedulePolicy::PriorityChangePoints:
+        for (TxId T : Runnable)
+          if (Priority[T] > Priority[Pick])
+            Pick = T;
+        for (uint64_t CP : ChangeAt)
+          if (CP == Stats.SchedulerSteps)
+            Priority[Pick] = NextDropPriority--; // Drop below everyone.
+        break;
+      case SchedulePolicy::Replay: // Picked above.
         break;
       }
-      continue;
-    }
-
-    // Collect runnable threads.
-    std::vector<TxId> Runnable;
-    for (const ThreadState &Th : M.threads())
-      if (!Th.done())
-        Runnable.push_back(Th.Tid);
-    if (Runnable.empty())
-      break;
-
-    TxId Pick = Runnable[0];
-    switch (Config.Policy) {
-    case SchedulePolicy::RoundRobin: {
-      // Next runnable thread at or after the cursor.
-      for (TxId T : Runnable)
-        if (T >= RoundRobinNext) {
-          Pick = T;
-          break;
-        }
-      RoundRobinNext = (Pick + 1) % NumThreads;
-      break;
-    }
-    case SchedulePolicy::RandomUniform:
-      Pick = R.pick(Runnable);
-      break;
-    case SchedulePolicy::PriorityChangePoints: {
-      Pick = Runnable[0];
-      for (TxId T : Runnable)
-        if (Priority[T] > Priority[Pick])
-          Pick = T;
-      for (uint64_t CP : ChangeAt)
-        if (CP == Stats.SchedulerSteps)
-          Priority[Pick] = NextDropPriority--; // Drop below everyone.
-      break;
-    }
-    case SchedulePolicy::Replay: // Handled before the runnable filter.
-      return Stats;
     }
 
     if (Config.CapturePicks)

@@ -71,6 +71,31 @@ void StressStats::absorb(const StressStats &W) {
     MaxWindowCheckNs = W.MaxWindowCheckNs;
 }
 
+void CacheStats::absorb(const CacheStats &R) {
+  Intern.StatesInterned += R.Intern.StatesInterned;
+  Intern.StateSetsInterned += R.Intern.StateSetsInterned;
+  Intern.OpKeysInterned += R.Intern.OpKeysInterned;
+  Intern.TransitionMemoHits += R.Intern.TransitionMemoHits;
+  Intern.TransitionMemoMisses += R.Intern.TransitionMemoMisses;
+  MoverMemoHits += R.MoverMemoHits;
+  MoverMemoMisses += R.MoverMemoMisses;
+  PrecongruencePairs += R.PrecongruencePairs;
+  ReachableSets += R.ReachableSets;
+  ExplorerFiringsPruned += R.ExplorerFiringsPruned;
+  ExplorerPersistentCuts += R.ExplorerPersistentCuts;
+  ExplorerSymmetryHits += R.ExplorerSymmetryHits;
+  CommutTableHits += R.CommutTableHits;
+  CommutTableMisses += R.CommutTableMisses;
+  CertChecks += R.CertChecks;
+  ProvedPrograms += R.ProvedPrograms;
+  OracleSkips += R.OracleSkips;
+  Memory.MachineCopies += R.Memory.MachineCopies;
+  Memory.ChunkShares += R.Memory.ChunkShares;
+  Memory.DeepCopies += R.Memory.DeepCopies;
+  Memory.SnapshotBytes += R.Memory.SnapshotBytes;
+  Memory.ArenaBytes += R.Memory.ArenaBytes;
+}
+
 std::string StressStats::toString() const {
   char Rate[64];
   std::snprintf(Rate, sizeof(Rate), "%.0f", commitsPerSec());

@@ -141,6 +141,10 @@ struct CacheStats {
                  : 0.0;
   }
 
+  /// Add one run's counters into a campaign total.  The reduction ratio
+  /// is per run and is not summed.
+  void absorb(const CacheStats &R);
+
   /// Multi-line "  key: value" rendering for pprun --stats.
   std::string toString() const;
 };

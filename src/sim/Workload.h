@@ -71,6 +71,11 @@ ThreadPrograms genQueueWorkload(const QueueSpec &Spec,
 ThreadPrograms genBankWorkload(const BankSpec &Spec,
                                const WorkloadConfig &C);
 
+/// The mix for \p Spec's kind, one of the six above.  Empty for a spec
+/// with no mix of its own (a CompositeSpec).
+ThreadPrograms genWorkload(const SequentialSpec &Spec,
+                           const WorkloadConfig &C);
+
 } // namespace pushpull
 
 #endif // PUSHPULL_SIM_WORKLOAD_H

@@ -85,20 +85,8 @@ pushpull::buildRoundConfig(const StressConfig &C,
   WC.ReadPct = C.ReadPct;
   WC.Seed = mixSeed(RoundSeed, 0x5eed, 0x10ad);
 
-  const SequentialSpec *S = Spec.get();
-  if (const auto *P = dynamic_cast<const MapSpec *>(S))
-    RC.Threads = genMapWorkload(*P, WC);
-  else if (const auto *P = dynamic_cast<const RegisterSpec *>(S))
-    RC.Threads = genRegisterWorkload(*P, WC);
-  else if (const auto *P = dynamic_cast<const SetSpec *>(S))
-    RC.Threads = genSetWorkload(*P, WC);
-  else if (const auto *P = dynamic_cast<const CounterSpec *>(S))
-    RC.Threads = genCounterWorkload(*P, WC);
-  else if (const auto *P = dynamic_cast<const QueueSpec *>(S))
-    RC.Threads = genQueueWorkload(*P, WC);
-  else if (const auto *P = dynamic_cast<const BankSpec *>(S))
-    RC.Threads = genBankWorkload(*P, WC);
-  else
+  RC.Threads = genWorkload(*Spec, WC);
+  if (RC.Threads.empty())
     Error = "no workload mix for spec kind '" + C.SpecKind + "'";
   return RC;
 }
@@ -124,23 +112,17 @@ static StressStats workerLoop(SharedState &S, unsigned W) {
       break;
     }
 
-    MoverChecker Movers(*S.Spec, RC.Movers, RC.Pre);
     MachineConfig MC;
-    MC.DisabledCriterion = RC.DisabledCriterion;
     MC.RecordTrace = false; // The shadow records; the hot path doesn't.
-    MC.RecordAudit = false;
-    PushPullMachine M(*S.Spec, Movers, MC);
-    for (const auto &P : RC.Threads)
-      M.addThread(P);
-    std::string EngineError;
-    std::unique_ptr<TMEngine> E =
-        makeEngine(RC.Engine, RC.EngineOpts, M, EngineError);
-    if (!E) {
+    CaseRun Run(RC, std::move(MC));
+    if (!Run.ok()) {
       std::lock_guard<std::mutex> G(S.ErrorLock);
       S.BuildErrors.push_back("worker " + std::to_string(W) + ": " +
-                              EngineError);
+                              Run.error());
       break;
     }
+    const PushPullMachine &M = Run.Machine;
+    TMEngine &E = *Run.Engine;
 
     uint64_t Order = 0;
     std::vector<TxId> Runnable;
@@ -152,7 +134,7 @@ static StressStats workerLoop(SharedState &S, unsigned W) {
       if (Runnable.empty())
         break;
       TxId Pick = Runnable[PickRng.below(Runnable.size())];
-      StepStatus St = E->step(Pick);
+      StepStatus St = E.step(Pick);
       ++L.Steps;
 
       StressRecord R;

@@ -5,8 +5,6 @@
 #include "check/Opacity.h"
 #include "check/Serializability.h"
 #include "fuzz/DiffRunner.h"
-#include "lang/Printer.h"
-#include "sim/Scenario.h"
 
 #include <chrono>
 
@@ -18,23 +16,13 @@ WindowChecker::WindowChecker(WindowCheckConfig C, std::string &Error)
     Error = "window checker has no spec";
     return;
   }
-  Movers = std::make_unique<MoverChecker>(*Config.Spec, Config.Movers,
-                                          Config.Pre);
-  MachineConfig MC;
-  // The shadow must *behave* identically to the live machine, so the
-  // fault injection carries over; the trace is recorded because the
-  // opacity classifier reads it (the live machine skips it for speed —
-  // recording does not affect behavior).
-  MC.DisabledCriterion = Config.DisabledCriterion;
-  MC.RecordTrace = true;
-  MC.RecordAudit = false;
-  Shadow = std::make_unique<PushPullMachine>(*Config.Spec, *Movers, MC);
-  for (const auto &P : Config.Threads)
-    Shadow->addThread(P);
-  std::string EngineError;
-  Engine = makeEngine(Config.Engine, Config.EngineOpts, *Shadow, EngineError);
-  if (!Engine)
-    Error = "window checker engine: " + EngineError;
+  // The shadow must *behave* identically to the live machine, so it is
+  // built from the same case, fault injection included; the trace is
+  // recorded because the opacity classifier reads it (the live machine
+  // skips it for speed — recording does not affect behavior).
+  Shadow.emplace(Config, MachineConfig{});
+  if (!Shadow->ok())
+    Error = "window checker engine: " + Shadow->error();
 }
 
 WindowChecker::~WindowChecker() = default;
@@ -48,7 +36,7 @@ void WindowChecker::fail(const std::string &Detail) {
 }
 
 bool WindowChecker::feed(const StressRecord &R) {
-  if (!Failure.empty() || !Engine)
+  if (!Failure.empty() || !ok())
     return false;
   if (!WindowOpen) {
     WindowEpoch = R.Epoch;
@@ -61,46 +49,45 @@ bool WindowChecker::feed(const StressRecord &R) {
   }
 
   Picks.push_back(R.Pick);
-  if (R.Pick >= Shadow->threads().size()) {
+  const PushPullMachine &M = Shadow->Machine;
+  if (R.Pick >= M.threads().size()) {
     fail("recorded pick names nonexistent thread " + std::to_string(R.Pick));
     return false;
   }
-  StepStatus S = Engine->step(R.Pick);
-  const ThreadState &Th = Shadow->thread(R.Pick);
-  uint32_t LSize = static_cast<uint32_t>(Th.L.size());
-  uint32_t GSize = static_cast<uint32_t>(Shadow->global().size());
-  uint32_t Commits = static_cast<uint32_t>(Shadow->committed().size());
-  if (static_cast<uint8_t>(S) != R.Status || LSize != R.LSize ||
-      GSize != R.GSize || Commits != R.Commits) {
+  StressRecord Own;
+  stampFingerprint(Own, M, R.Pick, Shadow->Engine->step(R.Pick));
+  if (Own.Status != R.Status || Own.LSize != R.LSize ||
+      Own.GSize != R.GSize || Own.Commits != R.Commits) {
+    auto Print = [](const StressRecord &X) {
+      return toString(static_cast<StepStatus>(X.Status)) +
+             " L=" + std::to_string(X.LSize) + " G=" + std::to_string(X.GSize) +
+             " commits=" + std::to_string(X.Commits);
+    };
     fail("shadow replay diverged at step " + std::to_string(R.Order) +
-         " (thread " + std::to_string(R.Pick) + "): live {" +
-         toString(static_cast<StepStatus>(R.Status)) +
-         " L=" + std::to_string(R.LSize) + " G=" + std::to_string(R.GSize) +
-         " commits=" + std::to_string(R.Commits) + "} vs shadow {" +
-         toString(S) + " L=" + std::to_string(LSize) +
-         " G=" + std::to_string(GSize) +
-         " commits=" + std::to_string(Commits) + "}");
+         " (thread " + std::to_string(R.Pick) + "): live {" + Print(R) +
+         "} vs shadow {" + Print(Own) + "}");
     return false;
   }
   return true;
 }
 
 bool WindowChecker::closeWindow() {
-  if (!Failure.empty() || !Engine)
+  if (!Failure.empty() || !ok())
     return false;
   if (!WindowOpen)
     return true;
   WindowOpen = false;
   ++Stats.Windows;
 
-  uint64_t CommitsNow = Shadow->committed().size();
+  const PushPullMachine &M = Shadow->Machine;
+  uint64_t CommitsNow = M.committed().size();
   auto Start = std::chrono::steady_clock::now();
   if (CommitsNow > CheckedCommits) {
     // Atomic-oracle replay of everything committed so far, in commit
     // order — the Theorem 5.17 witness.  The committed projection only
     // grows, so each close re-adjudicates a genuine machine prefix.
     SerializabilityChecker Oracle(*Config.Spec, Config.Atomic, Config.Pre);
-    SerializabilityVerdict V = Oracle.checkCommitOrder(*Shadow);
+    SerializabilityVerdict V = Oracle.checkCommitOrder(M);
     if (V.Serializable == Tri::No)
       fail("atomic oracle: committed prefix not serializable in commit "
            "order — " +
@@ -108,7 +95,7 @@ bool WindowChecker::closeWindow() {
     CheckedCommits = CommitsNow;
   }
   if (Failure.empty() && engineExpectedOpaque(Config.Engine)) {
-    OpacityReport O = classifyTrace(Shadow->trace());
+    OpacityReport O = classifyTrace(M.trace());
     if (!O.InOpaqueFragment)
       fail("opacity: " + std::to_string(O.UncommittedPulls) + "/" +
            std::to_string(O.TotalPulls) +
@@ -131,13 +118,9 @@ std::string WindowChecker::dumpSchedule() const {
       "# or plain pprun <file>)\n";
   if (!Failure.empty())
     Out += "# failure: " + Failure + "\n";
-  Out += "spec " + Config.SpecKind;
-  for (const auto &[K, V] : Config.SpecOpts)
-    Out += " " + K + (V.empty() ? "" : "=" + V);
-  Out += "\nengine " + Config.Engine;
-  for (const auto &[K, V] : Config.EngineOpts)
-    Out += " " + K + (V.empty() ? "" : "=" + V);
-  Out += "\nschedule replay picks=";
+  Out += directiveLine("spec " + Config.SpecKind, Config.SpecOpts);
+  Out += directiveLine("engine " + Config.Engine, Config.EngineOpts);
+  Out += "schedule replay picks=";
   for (size_t I = 0; I < Picks.size(); ++I) {
     if (I)
       Out += ",";
@@ -146,15 +129,8 @@ std::string WindowChecker::dumpSchedule() const {
   Out += "\n";
   if (!Config.DisabledCriterion.empty())
     Out += "inject " + Config.DisabledCriterion + "\n";
-  for (const auto &Txs : Config.Threads) {
-    Out += "thread ";
-    for (size_t I = 0; I < Txs.size(); ++I) {
-      if (I)
-        Out += "; ";
-      Out += printCode(Txs[I]);
-    }
-    Out += "\n";
-  }
+  for (const auto &Txs : Config.Threads)
+    Out += threadLine(Txs);
   Out += "check serializability\ncheck opacity\n";
   return Out;
 }

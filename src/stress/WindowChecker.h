@@ -39,20 +39,17 @@
 #define PUSHPULL_STRESS_WINDOWCHECKER_H
 
 #include "core/Atomic.h"
-#include "core/Mover.h"
-#include "core/Precongruence.h"
+#include "sim/Scenario.h"
 #include "sim/Stats.h"
 #include "stress/RingTrace.h"
 #include "tm/Engine.h"
 
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace pushpull {
-
-class SequentialSpec;
 
 /// Fill \p R's cross-check fields (pick, status, log sizes, commit count)
 /// from \p M right after thread \p Pick was stepped with result
@@ -61,29 +58,18 @@ class SequentialSpec;
 void stampFingerprint(StressRecord &R, const PushPullMachine &M,
                       uint32_t Pick, StepStatus Status);
 
-/// Everything needed to rebuild one worker-round deterministically.
-struct WindowCheckConfig {
+/// Everything needed to rebuild one worker-round deterministically: the
+/// round as a Scenario (engine options carry the live engine's exact
+/// seed; the fault injection reaches live and shadow alike, so the shadow
+/// reproduces a faulty run and the oracle convicts it), plus what only
+/// the checker needs.
+struct WindowCheckConfig : Scenario {
   /// Symbolic spec descriptor (kind + options), kept so reproducers can
   /// be rendered as standalone scenario files.
   std::string SpecKind;
   std::map<std::string, std::string> SpecOpts;
-  /// The built spec (shared with the live worker; its state table is
-  /// internally synchronized).
-  std::shared_ptr<const SequentialSpec> Spec;
-  std::string Engine = "optimistic";
-  /// Must include the live engine's exact seed — shadow determinism
-  /// depends on it.
-  std::map<std::string, std::string> EngineOpts;
-  /// The worker-round's logical thread programs.
-  std::vector<std::vector<CodePtr>> Threads;
-  /// Fault injection forwarded to both live and shadow machines (the
-  /// shadow must *reproduce* the faulty run; the oracle is the
-  /// independent ground truth that convicts it).
-  std::string DisabledCriterion;
   /// Resource bounds for the oracle.
   AtomicLimits Atomic{64, 20000};
-  PrecongruenceLimits Pre;
-  MoverLimits Movers;
 };
 
 /// One worker-round's shadow machine plus the windowed validation state.
@@ -94,7 +80,7 @@ public:
   WindowChecker(WindowCheckConfig Config, std::string &Error);
   ~WindowChecker();
 
-  bool ok() const { return Engine != nullptr; }
+  bool ok() const { return Shadow && Shadow->ok(); }
 
   /// Advance the shadow by one recorded step and cross-check the
   /// fingerprint.  Closes the current window first when \p R's epoch is
@@ -127,9 +113,8 @@ private:
   void fail(const std::string &Detail);
 
   WindowCheckConfig Config;
-  std::unique_ptr<MoverChecker> Movers;
-  std::unique_ptr<PushPullMachine> Shadow;
-  std::unique_ptr<TMEngine> Engine;
+  /// The shadow machine and engine (built from Config, which outlives it).
+  std::optional<CaseRun> Shadow;
 
   std::vector<uint32_t> Picks;
   std::string Failure;

@@ -13,6 +13,7 @@
 #include "analysis/Lint.h"
 #include "analysis/Obligations.h"
 
+#include "fuzz/DiffRunner.h"
 #include "fuzz/Generator.h"
 #include "sim/Scenario.h"
 #include "spec/CounterSpec.h"
@@ -267,7 +268,7 @@ TEST(IndependenceAudit, AgreesWithFuzzedReachableConfigurations) {
   for (int CaseIdx = 0; CaseIdx < 12; ++CaseIdx) {
     FuzzCase C = Gen.next();
     std::string Error;
-    std::shared_ptr<const SequentialSpec> Spec = C.buildSpec(Error);
+    std::shared_ptr<const SequentialSpec> Spec = buildCase(C, Error).Spec;
     ASSERT_TRUE(Spec) << Error;
     MoverChecker Movers(*Spec);
     PushPullMachine M(*Spec, Movers);

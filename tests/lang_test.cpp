@@ -214,6 +214,63 @@ TEST(Parser, Errors) {
   }
 }
 
+TEST(Parser, IntegerLiteralOutOfRangeIsAnError) {
+  ParseResult R = parseCode("o.a(99999999999999999999)");
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "integer literal out of range");
+  CodePtr Min = parseOrDie("o.a(-9223372036854775808)");
+  EXPECT_EQ(std::get<Value>(Min->call().Args[0]), INT64_MIN);
+  EXPECT_FALSE(parseCode("o.a(-9223372036854775809)").ok());
+}
+
+TEST(Parser, NestingPastTheBoundIsAnError) {
+  // Far past the bound: the parser must fail before it recurses that deep.
+  std::string Deep =
+      std::string(300000, '(') + "o.a()" + std::string(300000, ')');
+  ParseResult R = parseCode(Deep);
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("levels deep"), std::string::npos) << R.Error;
+
+  // A sequence, a loop chain and nested transactions are all bounded by
+  // the height of the tree they build.
+  std::string Long = "o.a()";
+  for (unsigned I = 1; I < 300000; ++I)
+    Long += "; o.a()";
+  EXPECT_FALSE(parseCode(Long).ok());
+  EXPECT_FALSE(parseCode("o.a()" + std::string(300000, '*')).ok());
+  std::string Txs;
+  for (unsigned I = 0; I <= MaxCodeDepth; ++I)
+    Txs += "tx { ";
+  Txs += "o.a()";
+  for (unsigned I = 0; I <= MaxCodeDepth; ++I)
+    Txs += " }";
+  EXPECT_FALSE(parseCode(Txs).ok());
+}
+
+TEST(Parser, ProgramsAtTheBoundParsePrintAndRoundTrip) {
+  // MaxCodeDepth - 1 stars over a call: a tree exactly MaxCodeDepth high.
+  std::string Stars = "o.a()" + std::string(MaxCodeDepth - 1, '*');
+  ParseResult R = parseCode(Stars);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.Parsed->height(), MaxCodeDepth);
+  EXPECT_FALSE(parseCode(Stars + "*").ok());
+
+  std::string Parens = std::string(MaxCodeDepth, '(') + "o.a()" +
+                       std::string(MaxCodeDepth, ')');
+  ASSERT_TRUE(parseCode(Parens).ok());
+  EXPECT_FALSE(parseCode("(" + Parens + ")").ok());
+
+  std::string Seq = "o.a()";
+  for (unsigned I = 1; I < MaxCodeDepth; ++I)
+    Seq += "; o.a()";
+  ParseResult S = parseCode(Seq);
+  ASSERT_TRUE(S.ok()) << S.Error;
+  EXPECT_EQ(S.Parsed->height(), MaxCodeDepth);
+  ParseResult Re = parseCode(printCode(S.Parsed));
+  ASSERT_TRUE(Re.ok()) << Re.Error;
+  EXPECT_TRUE(codeEquals(S.Parsed, Re.Parsed));
+}
+
 TEST(Printer, RoundTripsThroughParser) {
   const char *Programs[] = {
       "skip",

@@ -15,6 +15,7 @@
 #include "sim/Explorer.h"
 
 #include "analysis/MoverTable.h"
+#include "fuzz/DiffRunner.h"
 #include "fuzz/Generator.h"
 #include "lang/Parser.h"
 #include "spec/CounterSpec.h"
@@ -565,7 +566,7 @@ TEST(Independence, FuzzedPairsCommute) {
   for (int CaseIdx = 0; CaseIdx < 18; ++CaseIdx) {
     FuzzCase C = Gen.next();
     std::string Error;
-    std::shared_ptr<const SequentialSpec> Spec = C.buildSpec(Error);
+    std::shared_ptr<const SequentialSpec> Spec = buildCase(C, Error).Spec;
     ASSERT_TRUE(Spec) << Error;
     MoverChecker Movers(*Spec);
     StateTable &Table = Spec->table();

@@ -54,7 +54,7 @@ TEST(Regress, EveryScenarioReplaysCleanThroughTheDiffRunner) {
     ScenarioFile F = loadScenarioFile(Path.string());
     ASSERT_TRUE(F.ok()) << F.Diagnostic;
 
-    DiffReport R = DiffRunner().run(fromScenario(*F.Parsed));
+    DiffReport R = DiffRunner().run(*F.Parsed);
     ASSERT_TRUE(R.Built) << Path << ": " << R.BuildError;
     EXPECT_FALSE(R.discrepancy()) << Path << "\n" << R.toString();
     EXPECT_TRUE(R.Stats.Quiescent) << Path << "\n" << R.toString();

@@ -67,6 +67,119 @@ TEST(ScenarioParse, Errors) {
   }
 }
 
+/// Parse \p Text, expecting a diagnostic on \p Line that mentions
+/// \p Fragment.
+void expectRejected(const std::string &Text, size_t Line,
+                    const std::string &Fragment) {
+  ScenarioParseResult R = parseScenario(Text);
+  ASSERT_FALSE(R.ok()) << "accepted:\n" << Text;
+  EXPECT_EQ(R.ErrorLine, Line) << R.Error;
+  EXPECT_NE(R.Error.find(Fragment), std::string::npos) << R.Error;
+}
+
+const char *OneGet = "thread tx { v := map.get(1) }\n";
+
+TEST(ScenarioParse, MalformedSpecNumberIsRejectedAtItsLine) {
+  expectRejected(std::string("spec map keys=abc\n") + OneGet, 1,
+                 "option 'keys' needs an integer in [1, 64], got 'abc'");
+}
+
+TEST(ScenarioParse, MalformedEngineNumberIsRejectedAtItsLine) {
+  expectRejected(std::string("spec map\nengine boosting seed=abc\n") + OneGet,
+                 2, "option 'seed'");
+  expectRejected(std::string("spec map\nengine dependent abortpct=101\n") +
+                     OneGet,
+                 2, "option 'abortpct' needs an integer in [0, 100]");
+}
+
+TEST(ScenarioParse, TrailingGarbageInScheduleNumberIsRejected) {
+  expectRejected(std::string("spec map\nschedule random maxsteps=1x\n") +
+                     OneGet,
+                 2, "got '1x'");
+  expectRejected(std::string("spec map\nschedule pct changepoints=4097\n") +
+                     OneGet,
+                 2, "option 'changepoints' needs an integer in [0, 4096]");
+}
+
+TEST(ScenarioParse, DomainSizeThatWouldWrapIsRejected) {
+  expectRejected(std::string("spec map keys=4294967296\n") + OneGet, 1,
+                 "got '4294967296'");
+}
+
+TEST(ScenarioParse, DomainSizesAreBounded) {
+  expectRejected(std::string("spec map keys=1000000\n") + OneGet, 1,
+                 "got '1000000'");
+  expectRejected(std::string("spec map keys=65\n") + OneGet, 1, "'keys'");
+  expectRejected(std::string("spec map keys=0\n") + OneGet, 1, "'keys'");
+  expectRejected("spec bank cap=1\nthread tx { bank.deposit(0, 1) }\n", 1,
+                 "initial balance 2 exceeds cap 1");
+  EXPECT_TRUE(parseScenario(std::string("spec map keys=64 vals=64\n") +
+                            OneGet)
+                  .ok());
+}
+
+TEST(ScenarioParse, MalformedReplayPickIsRejected) {
+  expectRejected(std::string("spec map\nschedule replay picks=0,-1\n") +
+                     OneGet,
+                 2, "bad replay pick '-1'");
+  expectRejected(std::string("spec map\nschedule replay picks=4294967296\n") +
+                     OneGet,
+                 2, "bad replay pick");
+}
+
+TEST(ScenarioParse, ProgramNestedPastTheBoundIsRejected) {
+  std::string Deep = "spec map\nthread tx { " + std::string(300000, '(') +
+                     "v := map.get(1)" + std::string(300000, ')') + " }\n";
+  expectRejected(Deep, 2, "levels deep");
+}
+
+TEST(EngineOptions, MakeEngineRejectsWhatTheParserRejects) {
+  // Callers that build options in code (ppstress, the fuzzer) get the
+  // same checks as scenario text.
+  ScenarioParseResult R = parseScenario(std::string("spec map\n") + OneGet);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  MoverChecker Movers(*R.Parsed->Spec);
+  PushPullMachine M(*R.Parsed->Spec, Movers);
+  std::string Error;
+  EXPECT_EQ(makeEngine("checkpoint", {{"every", "0"}}, M, Error), nullptr);
+  EXPECT_NE(Error.find("option 'every'"), std::string::npos) << Error;
+  Error.clear();
+  EXPECT_EQ(makeEngine("boosting", {{"keylocks", "2"}}, M, Error), nullptr);
+  EXPECT_NE(Error.find("option 'keylocks'"), std::string::npos) << Error;
+  Error.clear();
+  EXPECT_NE(makeEngine("boosting", {{"seed", "18446744073709551615"}}, M,
+                       Error),
+            nullptr)
+      << Error;
+}
+
+TEST(CaseRun, BuildsTheCaseWithTheCallersMachineSettings) {
+  ScenarioParseResult R = parseScenario(std::string(
+      "spec map\nengine boosting seed=3\ninject PUSH criterion (ii)\n"
+      "thread tx { v := map.get(1) }\nthread tx { map.put(1, 2) }\n"));
+  ASSERT_TRUE(R.ok()) << R.Error;
+  MachineConfig MC;
+  MC.RecordTrace = false;
+  CaseRun Run(*R.Parsed, MC);
+  ASSERT_TRUE(Run.ok()) << Run.error();
+  EXPECT_EQ(Run.Machine.threads().size(), 2u);
+  EXPECT_FALSE(Run.Machine.config().RecordTrace);
+  EXPECT_EQ(Run.Machine.config().DisabledCriterion, "PUSH criterion (ii)");
+  EXPECT_EQ(&Run.Machine.movers(), &Run.Movers);
+  RunStats Stats = Scheduler(R.Parsed->schedule()).run(*Run.Engine);
+  EXPECT_TRUE(Stats.Quiescent);
+  EXPECT_EQ(Stats.Commits, 2u);
+}
+
+TEST(CaseRun, ReportsAnUnknownEngine) {
+  ScenarioParseResult R =
+      parseScenario(std::string("spec map\nengine quantum\n") + OneGet);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  CaseRun Run(*R.Parsed, MachineConfig{});
+  EXPECT_FALSE(Run.ok());
+  EXPECT_EQ(Run.error(), "unknown engine 'quantum'");
+}
+
 TEST(ScenarioParse, CommentsAndBlankLines) {
   ScenarioParseResult R = parseScenario(R"(
 # leading comment

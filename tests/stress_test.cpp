@@ -177,15 +177,14 @@ std::string shadowOneRound(
   WindowChecker Checker(RC, Error);
   EXPECT_TRUE(Checker.ok()) << Error;
 
-  // The live side, inline: same spec, same programs, same engine seed.
-  MoverChecker Movers(*Spec, RC.Movers, RC.Pre);
+  // The live side, inline and built as a worker builds it: same spec,
+  // same programs, same engine seed, no trace.
   MachineConfig MC;
   MC.RecordTrace = false;
-  PushPullMachine M(*Spec, Movers, MC);
-  for (const auto &P : RC.Threads)
-    M.addThread(P);
-  std::unique_ptr<TMEngine> E = makeEngine(RC.Engine, RC.EngineOpts, M, Error);
-  EXPECT_TRUE(E) << Error;
+  CaseRun Live(RC, MC);
+  EXPECT_TRUE(Live.ok()) << Live.error();
+  const PushPullMachine &M = Live.Machine;
+  TMEngine *E = Live.Engine.get();
 
   Rng PickRng(7);
   uint64_t Order = 0;
@@ -270,7 +269,7 @@ TEST(StressRunner, DumpedScheduleReplaysToTheIdenticalFailureTwice) {
   EXPECT_FALSE(PR.Parsed->ReplayPicks.empty());
   EXPECT_EQ(PR.Parsed->DisabledCriterion, InjectedBug);
 
-  BuiltCase Case = fromScenario(*PR.Parsed);
+  const Scenario &Case = *PR.Parsed;
   DiffReport First = DiffRunner().run(Case);
   ASSERT_TRUE(First.Built) << First.BuildError;
   EXPECT_TRUE(First.discrepancy())

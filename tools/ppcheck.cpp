@@ -86,19 +86,19 @@ struct EngineSurface {
 
 std::vector<EngineSurface> engineSurfaces() {
   std::vector<EngineSurface> Out;
-  RegisterSpec Spec("mem", 1, 2);
-  MoverChecker Movers(Spec);
+  Scenario S;
+  S.Spec = std::make_shared<RegisterSpec>("mem", 1, 2);
+  S.Threads = {{call("mem", "read", {Value(0)})}};
   for (const std::string &Name : allEngineNames()) {
-    PushPullMachine M(Spec, Movers);
-    M.addThread({call("mem", "read", {Value(0)})});
-    std::string Error;
-    std::unique_ptr<TMEngine> E = makeEngine(Name, {}, M, Error);
-    if (!E) {
+    S.Engine = Name;
+    CaseRun Run(S, MachineConfig{});
+    if (!Run.ok()) {
       std::fprintf(stderr, "ppcheck: cannot instantiate engine %s: %s\n",
-                   Name.c_str(), Error.c_str());
+                   Name.c_str(), Run.error().c_str());
       continue;
     }
-    Out.push_back({Name, E->ruleMask(), E->pullsUncommitted()});
+    Out.push_back({Name, Run.Engine->ruleMask(),
+                   Run.Engine->pullsUncommitted()});
   }
   return Out;
 }

@@ -64,7 +64,7 @@ static int replay(const char *Path, const DiffConfig &Diff) {
     std::fprintf(stderr, "%s\n", F.Diagnostic.c_str());
     return 2;
   }
-  BuiltCase Case = fromScenario(*F.Parsed);
+  const Scenario &Case = *F.Parsed;
   DiffReport R = DiffRunner(Diff).run(Case);
   std::printf("replay: %s (engine %s, %zu threads)\n%s", Path,
               Case.Engine.c_str(), Case.Threads.size(), R.toString().c_str());

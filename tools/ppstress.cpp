@@ -62,7 +62,7 @@ static int replay(const char *Path) {
     std::fprintf(stderr, "%s\n", F.Diagnostic.c_str());
     return 2;
   }
-  BuiltCase Case = fromScenario(*F.Parsed);
+  const Scenario &Case = *F.Parsed;
   DiffReport R = DiffRunner().run(Case);
   std::printf("replay: %s (engine %s, %zu threads, %zu picks%s)\n%s", Path,
               Case.Engine.c_str(), Case.Threads.size(),
@@ -145,8 +145,10 @@ int main(int argc, char **argv) {
         numericFlag(argc, argv, I, "--rounds", C.Rounds) ||
         numericFlag(argc, argv, I, "--duration-ms", C.DurationMs) ||
         numericFlag(argc, argv, I, "--think-us", C.ThinkUs) ||
-        numericFlag(argc, argv, I, "--tx", C.TxPerThread) ||
-        numericFlag(argc, argv, I, "--ops", C.OpsPerTx) ||
+        // A round's dump must parse again: keep its programs well inside
+        // the parser's nesting bound (lang/Parser.h).
+        numericFlag(argc, argv, I, "--tx", C.TxPerThread, 0, 256) ||
+        numericFlag(argc, argv, I, "--ops", C.OpsPerTx, 0, 256) ||
         numericFlag(argc, argv, I, "--seed", C.Seed) ||
         numericFlag(argc, argv, I, "--stripes", C.Stripes, 0, 1 << 16) ||
         numericFlag(argc, argv, I, "--window", C.WindowCommits))
