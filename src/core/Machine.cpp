@@ -683,6 +683,15 @@ std::string
 PushPullMachine::configKey(const std::vector<TxId> *LabelOf,
                            const CommutativityOracle *Commut,
                            SmallVec<uint32_t, 16> *GOrderOut) const {
+  ConfigKeySections Key;
+  renderKey(Key, LabelOf, Commut, GOrderOut);
+  return std::move(Key.Bytes);
+}
+
+void PushPullMachine::renderKey(ConfigKeySections &Out,
+                                const std::vector<TxId> *LabelOf,
+                                const CommutativityOracle *Commut,
+                                SmallVec<uint32_t, 16> *GOrderOut) const {
   // Operations are rendered by their interned (Call, Result) key id:
   // id equality is exactly canonical-text equality, so the key partitions
   // configurations the same way a fully textual rendering would.  All
@@ -713,31 +722,36 @@ PushPullMachine::configKey(const std::vector<TxId> *LabelOf,
   SmallVec<OpId, 16> GIds;
   for (size_t J = 0; J < Order.size(); ++J)
     GIds.push_back(G.entries()[Order[J]].Op.Id);
-  std::string Out;
-  Out.reserve(64 + 48 * Threads.size() + 9 * GIds.size());
+  Out.clear();
+  Out.Bytes.reserve(64 + 48 * Threads.size() + 9 * GIds.size());
   if (!LabelOf) {
-    for (const ThreadState &Th : Threads)
-      renderThreadKey(Out, Table, Th, GIds);
+    for (const ThreadState &Th : Threads) {
+      renderThreadKey(Out.Bytes, Table, Th, GIds);
+      Out.endSection();
+    }
   } else {
     // Slot l holds the thread relabeled to l.
     SmallVec<uint32_t, 8> AtLabel;
     AtLabel.resize(Threads.size());
     for (size_t T = 0; T < Threads.size(); ++T)
       AtLabel[(*LabelOf)[T]] = static_cast<uint32_t>(T);
-    for (size_t L = 0; L < AtLabel.size(); ++L)
-      renderThreadKey(Out, Table, Threads[AtLabel[L]], GIds);
+    for (size_t L = 0; L < AtLabel.size(); ++L) {
+      renderThreadKey(Out.Bytes, Table, Threads[AtLabel[L]], GIds);
+      Out.endSection();
+    }
   }
-  key32(Out, static_cast<uint32_t>(GIds.size()));
+  key32(Out.Bytes, static_cast<uint32_t>(GIds.size()));
   for (size_t J = 0; J < Order.size(); ++J) {
     const GKeyView &V = Views[Order[J]];
-    key32(Out, V.OpKey);
-    Out += V.Kind;
-    key32(Out, V.OwnerLabel);
+    key32(Out.Bytes, V.OpKey);
+    Out.Bytes += V.Kind;
+    key32(Out.Bytes, V.OwnerLabel);
   }
-  appendCommittedKey(Out);
+  Out.endSection();
+  appendCommittedKey(Out.Bytes);
+  Out.endSection();
   if (GOrderOut)
     *GOrderOut = Order;
-  return Out;
 }
 
 /// Append the committed-content section (see configKey).  It is
@@ -766,25 +780,43 @@ std::string PushPullMachine::configKeyCanonical(
     const std::vector<std::vector<TxId>> &Perms, size_t &BestPerm,
     const CommutativityOracle *Commut,
     SmallVec<uint32_t, 16> *GOrderOut) const {
+  ConfigKeySections Key;
+  renderKeyCanonical(Key, Perms, BestPerm, Commut, GOrderOut);
+  return std::move(Key.Bytes);
+}
+
+namespace {
+/// Per-thread scratch of renderKeyCanonical: the candidate rendering and
+/// the label-independent thread sections.  Reused across calls, so a
+/// steady-state canonicalization allocates nothing.
+thread_local ConfigKeySections CanonCandidate;
+thread_local ConfigKeySections CanonThreadParts;
+} // namespace
+
+void PushPullMachine::renderKeyCanonical(
+    ConfigKeySections &Out, const std::vector<std::vector<TxId>> &Perms,
+    size_t &BestPerm, const CommutativityOracle *Commut,
+    SmallVec<uint32_t, 16> *GOrderOut) const {
+  ConfigKeySections &Cur = CanonCandidate;
+  BestPerm = 0;
   // With a commutativity oracle the G quotient order depends on the owner
   // relabeling (owner labels are part of the normal form's label order),
   // so the render-once assembly below does not apply: render each
   // permutation in full and keep the minimum.
   if (Commut) {
-    std::string Best;
     SmallVec<uint32_t, 16> CurOrder, BestOrder;
-    BestPerm = 0;
     for (size_t Pi = 0; Pi < Perms.size(); ++Pi) {
-      std::string Cur = configKey(&Perms[Pi], Commut, &CurOrder);
-      if (Pi == 0 || Cur < Best) {
-        Best = std::move(Cur);
-        BestOrder = CurOrder;
+      renderKey(Pi == 0 ? Out : Cur, &Perms[Pi], Commut,
+                Pi == 0 ? &BestOrder : &CurOrder);
+      if (Pi != 0 && Cur.Bytes < Out.Bytes) {
+        std::swap(Out, Cur);
+        std::swap(BestOrder, CurOrder);
         BestPerm = Pi;
       }
     }
     if (GOrderOut)
       *GOrderOut = BestOrder;
-    return Best;
+    return;
   }
   if (GOrderOut) {
     GOrderOut->clear();
@@ -795,7 +827,9 @@ std::string PushPullMachine::configKeyCanonical(
   // label-independent; only the section order and the G owner labels vary
   // across the symmetry group.  Render every invariant piece once, then
   // assemble one candidate per permutation — the assembly is pure memcpy
-  // against a full re-render per permutation.
+  // against a full re-render per permutation.  Sections are
+  // self-delimiting, so comparing the assembled bytes is comparing the
+  // full keys (the committed section, shared by all, is appended last).
   StateTable &Table = Spec->table();
   SmallVec<OpId, 16> GIds;
   SmallVec<uint32_t, 16> GOpKeys;
@@ -803,41 +837,40 @@ std::string PushPullMachine::configKeyCanonical(
     GIds.push_back(E.Op.Id);
     GOpKeys.push_back(Table.opKey(E.Op));
   }
-  SmallVec<std::string, 4> Sections;
+  ConfigKeySections &Parts = CanonThreadParts;
+  Parts.clear();
   for (const ThreadState &Th : Threads) {
-    std::string S;
-    S.reserve(48);
-    renderThreadKey(S, Table, Th, GIds);
-    Sections.push_back(std::move(S));
+    renderThreadKey(Parts.Bytes, Table, Th, GIds);
+    Parts.endSection();
   }
 
-  std::string Best, Cur;
-  BestPerm = 0;
   SmallVec<uint32_t, 8> AtLabel;
   AtLabel.resize(Threads.size());
   for (size_t Pi = 0; Pi < Perms.size(); ++Pi) {
     const std::vector<TxId> &LabelOf = Perms[Pi];
     for (size_t T = 0; T < Threads.size(); ++T)
       AtLabel[LabelOf[T]] = static_cast<uint32_t>(T);
-    Cur.clear();
-    Cur.reserve(Best.empty() ? 64 + 48 * Threads.size() + 9 * GIds.size()
-                             : Best.size());
-    for (size_t L = 0; L < AtLabel.size(); ++L)
-      Cur += Sections[AtLabel[L]];
-    key32(Cur, static_cast<uint32_t>(GIds.size()));
+    ConfigKeySections &Dst = Pi == 0 ? Out : Cur;
+    Dst.clear();
+    for (size_t L = 0; L < AtLabel.size(); ++L) {
+      Dst.Bytes += Parts.section(AtLabel[L]);
+      Dst.endSection();
+    }
+    key32(Dst.Bytes, static_cast<uint32_t>(GIds.size()));
     size_t I = 0;
     for (const GlobalEntry &E : G.entries()) {
-      key32(Cur, GOpKeys[I++]);
-      Cur += E.Kind == GlobalKind::Committed ? 'C' : 'U';
-      key32(Cur, LabelOf[E.Owner]);
+      key32(Dst.Bytes, GOpKeys[I++]);
+      Dst.Bytes += E.Kind == GlobalKind::Committed ? 'C' : 'U';
+      key32(Dst.Bytes, LabelOf[E.Owner]);
     }
-    if (Pi == 0 || Cur < Best) {
-      std::swap(Best, Cur);
+    Dst.endSection();
+    if (Pi != 0 && Cur.Bytes < Out.Bytes) {
+      std::swap(Out, Cur);
       BestPerm = Pi;
     }
   }
-  appendCommittedKey(Best);
-  return Best;
+  appendCommittedKey(Out.Bytes);
+  Out.endSection();
 }
 
 void PushPullMachine::installForAnalysis(ThreadList NewThreads,

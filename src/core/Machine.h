@@ -47,14 +47,41 @@
 #include "lang/StepFin.h"
 #include "support/Arena.h"
 #include "support/Cow.h"
+#include "support/SmallVec.h"
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pushpull {
 
 class PushPullMachine;
+
+/// A configuration key (PushPullMachine::configKey) split at its
+/// sections: one per thread slot in label order, then the G section, then
+/// the committed-content section.  \p Bytes is exactly the configKey
+/// string; section I ends at Ends[I].  Every section but the last is
+/// self-delimiting (count-prefixed, fixed-width fields), so two keys with
+/// the same number of thread slots are byte-equal iff they are equal
+/// section by section, and a byte comparison of two keys is decided by
+/// their first unequal section.
+struct ConfigKeySections {
+  std::string Bytes;
+  SmallVec<uint32_t, 8> Ends;
+
+  size_t size() const { return Ends.size(); }
+  std::string_view section(size_t I) const {
+    size_t Begin = I ? Ends[I - 1] : 0;
+    return std::string_view(Bytes).substr(Begin, Ends[I] - Begin);
+  }
+  void clear() {
+    Bytes.clear();
+    Ends.clear();
+  }
+  /// Close the section that ends at the current end of Bytes.
+  void endSection() { Ends.push_back(static_cast<uint32_t>(Bytes.size())); }
+};
 
 /// How strictly the machine checks each rule application.
 enum class ValidationLevel {
@@ -265,7 +292,8 @@ public:
   /// because the serializability oracle's verdict is a function of it:
   /// without it, two configurations differing only in commit order would
   /// merge in the explorer's visited map and the surviving verdict would
-  /// depend on traversal order.  Used by the explorer's visited set.
+  /// depend on traversal order.  The explorer's visited map stores the
+  /// same key section by section (renderKey).
   ///
   /// \p LabelOf, if given, renames thread ids for the symmetry reduction:
   /// thread \c T is rendered in slot \c (*LabelOf)[T] and global-log
@@ -299,6 +327,21 @@ public:
                                  const CommutativityOracle *Commut = nullptr,
                                  SmallVec<uint32_t, 16> *GOrderOut = nullptr)
       const;
+
+  /// configKey rendered into \p Out (whose buffers are reused) with its
+  /// section boundaries recorded.
+  void renderKey(ConfigKeySections &Out,
+                 const std::vector<TxId> *LabelOf = nullptr,
+                 const CommutativityOracle *Commut = nullptr,
+                 SmallVec<uint32_t, 16> *GOrderOut = nullptr) const;
+
+  /// configKeyCanonical rendered into \p Out with its section boundaries
+  /// recorded.
+  void renderKeyCanonical(ConfigKeySections &Out,
+                          const std::vector<std::vector<TxId>> &Perms,
+                          size_t &BestPerm,
+                          const CommutativityOracle *Commut = nullptr,
+                          SmallVec<uint32_t, 16> *GOrderOut = nullptr) const;
 
   /// The committed projection |G|_gCmt — what the serializability theorem
   /// relates to an atomic log.

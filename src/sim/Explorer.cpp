@@ -5,6 +5,7 @@
 #include "check/Serializability.h"
 #include "core/Invariants.h"
 #include "lang/Printer.h"
+#include "sim/Visited.h"
 
 #include <algorithm>
 #include <atomic>
@@ -228,65 +229,6 @@ struct WorkItem {
   SleepSet Sleep;
 };
 
-/// Sharded concurrent visited map: configuration key -> the shallowest
-/// depth it was explored at and the intersection of the sleep sets it was
-/// explored with.  The first claim is "fresh" and does the per-config
-/// accounting (visit count, invariants, terminal verdict).  A later claim
-/// re-explores, without re-accounting, iff it is shallower (part of the
-/// stored subtree may have been depth-pruned) or its sleep set is not a
-/// superset of the stored one (it could explore a transition every stored
-/// visit pruned); the entry then absorbs it.  This is the classical
-/// sleep-sets + state-caching protocol; with empty sleep sets
-/// (Reduction::None) it degenerates to a depth-only rule.
-///
-/// A lone worker gets one unlocked shard: 64 locked shards cost it about
-/// 10% of its wall time on scenarios/matveev_shavit.pp (EXPERIMENTS.md
-/// E15).
-class ShardedVisited {
-public:
-  struct Claim {
-    bool Fresh;   ///< First time this config was ever seen.
-    bool Explore; ///< Caller should expand its successors.
-  };
-
-  explicit ShardedVisited(unsigned Workers)
-      : Shards(Workers > 1 ? NumShards : 1) {}
-
-  Claim claim(std::string Key, size_t Depth, const SleepSet &Sleep,
-              bool UseSleep) {
-    const bool Concurrent = Shards.size() > 1;
-    Shard &S = Concurrent
-                   ? Shards[std::hash<std::string>{}(Key) & (NumShards - 1)]
-                   : Shards[0];
-    std::unique_lock<std::mutex> Lock(S.Mutex, std::defer_lock);
-    if (Concurrent)
-      Lock.lock();
-    auto [It, Fresh] = S.Map.try_emplace(std::move(Key), Entry{Depth, Sleep});
-    if (Fresh)
-      return {true, true};
-    bool Shallower = Depth < It->second.Depth;
-    bool SleepCovered = !UseSleep || Sleep.supersetOf(It->second.Sleep);
-    if (!Shallower && SleepCovered)
-      return {false, false};
-    It->second.Depth = std::min(It->second.Depth, Depth);
-    if (UseSleep)
-      It->second.Sleep.intersectWith(Sleep);
-    return {false, true};
-  }
-
-private:
-  static constexpr size_t NumShards = 64;
-  struct Entry {
-    size_t Depth;
-    SleepSet Sleep;
-  };
-  struct Shard {
-    std::mutex Mutex;
-    std::unordered_map<std::string, Entry> Map;
-  };
-  std::vector<Shard> Shards;
-};
-
 /// The FirstFailure text of a terminal the oracle could not certify.
 std::string renderNonSerializable(const PushPullMachine &M,
                                   const SerializabilityVerdict &V) {
@@ -314,6 +256,8 @@ void accumulate(ExplorerReport &Sum, ExplorerReport &Part) {
   Sum.SymmetryHits += Part.SymmetryHits;
   Sum.OracleSkips += Part.OracleSkips;
   Sum.Truncated |= Part.Truncated;
+  Sum.HitMaxConfigs |= Part.HitMaxConfigs;
+  Sum.HitMaxDepth |= Part.HitMaxDepth;
   if (Sum.FirstFailure.empty())
     Sum.FirstFailure = std::move(Part.FirstFailure);
 }
@@ -322,9 +266,10 @@ void accumulate(ExplorerReport &Sum, ExplorerReport &Part) {
 
 /// The search state every worker shares.
 struct Explorer::Shared {
-  explicit Shared(unsigned Workers) : Visited(Workers) {}
+  Shared(unsigned Workers, size_t KeySections)
+      : Visited(Workers, KeySections) {}
 
-  ShardedVisited Visited;
+  VisitedSet Visited;
   /// Distinct configurations claimed so far; enforces MaxConfigs.
   std::atomic<uint64_t> Configs{0};
   std::mutex TerminalMutex; ///< Serializes the OnTerminal hook.
@@ -379,41 +324,54 @@ struct Explorer::Worker {
   /// identical committed content share one atomic-machine search.
   std::unordered_map<std::string, SerializabilityVerdict> OracleMemo;
   ExplorerReport Report;
+  /// Visit scratch, reused by every visit of this worker: the rendered
+  /// key, the G order it was rendered in, and the canonical sleep set.
+  ConfigKeySections Key;
+  SmallVec<uint32_t, 16> GOrder;
+  StoredSleep Sleep;
 };
+
+std::string pushpull::truncationBounds(const ExplorerReport &R,
+                                       const ExplorerConfig &C) {
+  std::string Out;
+  if (R.HitMaxConfigs)
+    Out = "MaxConfigs=" + std::to_string(C.MaxConfigs);
+  if (R.HitMaxDepth)
+    Out += (Out.empty() ? "MaxDepth=" : ", MaxDepth=") +
+           std::to_string(std::min(C.MaxDepth, ExplorerConfig::MaxDepthLimit));
+  return Out;
+}
 
 Explorer::Explorer(const SequentialSpec &Spec, MoverChecker &Movers,
                    ExplorerConfig Config)
-    : Spec(Spec), Movers(Movers), Config(Config) {}
+    : Spec(Spec), Movers(Movers), Config(Config) {
+  // Visited entries hold depths in 32 bits, and a path is abandoned one
+  // step past MaxDepth.
+  this->Config.MaxDepth =
+      std::min(this->Config.MaxDepth, ExplorerConfig::MaxDepthLimit);
+}
 
-std::string Explorer::canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
-                                   uint64_t &SymmetryHits) const {
+const StoredSleep *Explorer::canonicalKey(const PushPullMachine &M,
+                                          const SleepSet &Sleep,
+                                          Worker &W) const {
   const CommutativityOracle *DB = Config.CommutDB;
+  size_t BestPi = 0;
+  if (Perms.size() <= 1)
+    M.renderKey(W.Key, nullptr, DB, DB ? &W.GOrder : nullptr);
+  else
+    M.renderKeyCanonical(W.Key, Perms, BestPi, DB, DB ? &W.GOrder : nullptr);
+  if (BestPi != 0)
+    ++W.Report.SymmetryHits;
+  if (!usesSleepSets(Config.Reduce))
+    return nullptr;
   // Sleep sets travel in raw G-index space (stable across independent
   // firings); the visited map compares them in canonical space, so under
-  // the commutativity quotient the PULL indices are rewritten through the
-  // G order actually used for the key — after the thread relabeling when
-  // symmetry also applies (relabeled touches tids only, so the two
-  // rewrites commute, but the order used must be the one of the winning
-  // permutation's rendering).
-  if (Perms.size() <= 1) {
-    if (!DB)
-      return M.configKey();
-    SmallVec<uint32_t, 16> Order;
-    std::string Key = M.configKey(nullptr, DB, &Order);
-    Sleep = Sleep.reindexedG(Order);
-    return Key;
-  }
-  size_t BestPi = 0;
-  SmallVec<uint32_t, 16> Order;
-  std::string Key =
-      M.configKeyCanonical(Perms, BestPi, DB, DB ? &Order : nullptr);
-  if (BestPi != 0) {
-    ++SymmetryHits;
-    Sleep = Sleep.relabeled(Perms[BestPi]);
-  }
-  if (DB)
-    Sleep = Sleep.reindexedG(Order);
-  return Key;
+  // symmetry the thread ids follow the winning permutation and under the
+  // commutativity quotient the PULL indices follow the G order the key
+  // was rendered in (the winning permutation's, when both apply).
+  W.Sleep.assign(Sleep, BestPi ? &Perms[BestPi] : nullptr,
+                 DB ? &W.GOrder : nullptr);
+  return &W.Sleep;
 }
 
 ExplorerReport
@@ -432,7 +390,7 @@ Explorer::explore(const std::vector<std::vector<CodePtr>> &Programs) {
     Perms = symmetryGroup(Programs);
 
   const unsigned N = std::max(1u, Config.Threads);
-  Shared Search(N);
+  Shared Search(N, Programs.size() + 2);
   Search.Stack.push_back(WorkItem{std::move(M), 0, SleepSet()});
   std::deque<Worker> Workers;
   for (unsigned I = 0; I < N; ++I)
@@ -448,6 +406,7 @@ Explorer::explore(const std::vector<std::vector<CodePtr>> &Programs) {
   ExplorerReport Report;
   for (Worker &W : Workers)
     accumulate(Report, W.Report);
+  Report.VisitedBytes = Search.Visited.bytes();
   return Report;
 }
 
@@ -478,17 +437,19 @@ void Explorer::visit(PushPullMachine M, size_t Depth, SleepSet Sleep,
                      Worker &W) {
   Shared &S = W.Search;
   ExplorerReport &Report = W.Report;
-  if (S.Configs.load(std::memory_order_relaxed) >= Config.MaxConfigs ||
-      Depth > Config.MaxDepth) {
-    Report.Truncated = true;
+  if (S.Configs.load(std::memory_order_relaxed) >= Config.MaxConfigs) {
+    Report.Truncated = Report.HitMaxConfigs = true;
+    return;
+  }
+  if (Depth > Config.MaxDepth) {
+    Report.Truncated = Report.HitMaxDepth = true;
     return;
   }
   // Under symmetry, key and sleep set move to the canonical labeling so
   // entries stored by isomorphic configurations compare like with like.
-  SleepSet StoredSleep = Sleep;
-  std::string Key = canonicalKey(M, StoredSleep, Report.SymmetryHits);
-  ShardedVisited::Claim C = S.Visited.claim(
-      std::move(Key), Depth, StoredSleep, usesSleepSets(Config.Reduce));
+  const StoredSleep *Stored = canonicalKey(M, Sleep, W);
+  VisitedSet::Claim C =
+      S.Visited.claim(W.Key, static_cast<uint32_t>(Depth), Stored);
   if (!C.Explore)
     return;
 

@@ -31,16 +31,17 @@
 ///
 /// The search is one recursive DFS routine, Explorer::visit, run by every
 /// worker.  Workers share a LIFO stack that holds only the root and the
-/// subtrees donated to idle peers, a visited map (sharded and locked when
-/// there is more than one worker), and a config count that enforces
-/// MaxConfigs; each fills its own report, summed after join.  A worker
-/// expanding a configuration donates a child to the stack only while
-/// another worker is idle, and otherwise visits it in place.  A lone
-/// worker never has an idle peer, so ExplorerConfig::Threads = 1 is
-/// exactly the sequential DFS, run on the calling thread with the
-/// caller's MoverChecker.  With more workers each gets a private mover
-/// checker and oracle (verdicts are cache-independent, so worker-local
-/// caches are sound) and the caller's checker is never touched.
+/// subtrees donated to idle peers, a collapse-compressed visited map
+/// (sim/Visited.h; sharded and locked when there is more than one worker),
+/// and a config count that enforces MaxConfigs; each fills its own report,
+/// summed after join.  A worker expanding a configuration donates a child
+/// to the stack only while another worker is idle, and otherwise visits it
+/// in place.  A lone worker never has an idle peer, so
+/// ExplorerConfig::Threads = 1 is exactly the sequential DFS, run on the
+/// calling thread with the caller's MoverChecker.  With more workers each
+/// gets a private mover checker and oracle (verdicts are cache-independent,
+/// so worker-local caches are sound) and the caller's checker is never
+/// touched.
 ///
 /// Which report fields are deterministic: the visited/accounting protocol
 /// guarantees that the aggregate totals ConfigsVisited / TerminalConfigs /
@@ -90,8 +91,11 @@ struct ExplorerConfig {
   Reduction Reduce = Reduction::None;
   /// Stop after visiting this many distinct configurations.
   uint64_t MaxConfigs = 2000000;
-  /// Abandon paths longer than this many rule applications.
+  /// Abandon paths longer than this many rule applications.  At most
+  /// MaxDepthLimit (the visited map stores depths in 32 bits); larger
+  /// values are treated as MaxDepthLimit.
   size_t MaxDepth = 64;
+  static constexpr size_t MaxDepthLimit = UINT32_MAX - 1;
   /// Search workers.  1 (the default) is the exact sequential DFS on the
   /// calling thread; more workers split the same DFS by donating subtrees
   /// to idle peers (same aggregate totals, see the file comment).
@@ -144,7 +148,17 @@ struct ExplorerReport {
   /// program was statically proved serializable (ExplorerConfig::
   /// SkipOracle).  Zero otherwise.
   uint64_t OracleSkips = 0;
+  /// Some bound cut the search short: HitMaxConfigs || HitMaxDepth.  A
+  /// truncated exploration is not a pass, whatever its verdict counters.
   bool Truncated = false;
+  /// The search stopped at ExplorerConfig::MaxConfigs distinct
+  /// configurations.
+  bool HitMaxConfigs = false;
+  /// Some path was abandoned past ExplorerConfig::MaxDepth.
+  bool HitMaxDepth = false;
+  /// Memory held by the visited map at the end of the search: its entries
+  /// and index, the interned key sections and the interned sleep sets.
+  uint64_t VisitedBytes = 0;
   /// Diagnostic for the first failure, if any.
   std::string FirstFailure;
 
@@ -160,6 +174,10 @@ struct ExplorerReport {
                : 0.0;
   }
 };
+
+/// The bounds that truncated \p R under \p C, e.g. "MaxConfigs=2000000"
+/// or "MaxConfigs=2000000, MaxDepth=64"; empty when \p R is complete.
+std::string truncationBounds(const ExplorerReport &R, const ExplorerConfig &C);
 
 /// Exhaustively explores a machine's reachable configurations.
 class Explorer {
@@ -185,14 +203,14 @@ private:
   /// Run \p W until the shared stack is empty and no worker is busy.
   void work(Worker &W);
 
-  /// Canonical visited-map key of \p M under the configured reduction:
-  /// the minimum of configKey over the symmetry group (identity only,
-  /// unless symmetry is enabled).  \p Sleep is relabeled through the
-  /// minimizing permutation so that sleep sets stored under a canonical
-  /// key are expressed in the canonical labeling.  Bumps \p SymmetryHits
-  /// when the minimizer is not the identity.
-  std::string canonicalKey(const PushPullMachine &M, SleepSet &Sleep,
-                           uint64_t &SymmetryHits) const;
+  /// Render the canonical visited-map key of \p M under the configured
+  /// reduction into \p W's key buffer: the minimum of configKey over the
+  /// symmetry group (identity only, unless symmetry is enabled).  Bumps
+  /// the worker's SymmetryHits when the minimizer is not the identity.
+  /// Returns \p Sleep expressed in the key's labeling (see StoredSleep),
+  /// or null when the reduction uses no sleep sets.
+  const StoredSleep *canonicalKey(const PushPullMachine &M,
+                                  const SleepSet &Sleep, Worker &W) const;
 
   const SequentialSpec &Spec;
   MoverChecker &Movers;

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace pushpull {
 
@@ -196,71 +197,85 @@ SleepSet SleepSet::survivorsAfter(const Candidate &Fired,
   return Out;
 }
 
-bool SleepSet::supersetOf(const SleepSet &O) const {
-  if (O.Members.size() > Members.size())
+namespace {
+/// One member of a StoredSleep: four words, compared lexicographically.
+bool quadLess(const uint32_t *A, const uint32_t *B) {
+  return std::lexicographical_compare(A, A + 4, B, B + 4);
+}
+bool quadEqual(const uint32_t *A, const uint32_t *B) {
+  return std::equal(A, A + 4, B);
+}
+} // namespace
+
+void StoredSleep::assign(const SleepSet &Sleep,
+                         const std::vector<TxId> *LabelOf,
+                         const SmallVec<uint32_t, 16> *GOrder) {
+  // Invert the G order: CanonOf[raw] = canonical position.  The identity
+  // (also the no-oracle case) leaves PULL indices alone.
+  SmallVec<uint32_t, 16> CanonOf;
+  if (GOrder)
+    for (size_t I = 0; I < GOrder->size(); ++I)
+      if ((*GOrder)[I] != I) {
+        CanonOf.resize(GOrder->size());
+        for (size_t J = 0; J < GOrder->size(); ++J)
+          CanonOf[(*GOrder)[J]] = static_cast<uint32_t>(J);
+        break;
+      }
+  // The members arrive sorted by raw identity; a rewrite may reorder them.
+  SmallVec<Firing, 8> Ids;
+  for (const Candidate &C : Sleep.members()) {
+    Firing F = C.F;
+    if (LabelOf)
+      F.Tid = (*LabelOf)[F.Tid];
+    if (F.Kind == FiringKind::Pull && F.A < CanonOf.size())
+      F.A = CanonOf[F.A];
+    Ids.push_back(F);
+  }
+  if (LabelOf || !CanonOf.empty())
+    std::sort(Ids.begin(), Ids.end());
+  Words.clear();
+  for (const Firing &F : Ids) {
+    Words.push_back(F.Tid);
+    Words.push_back(static_cast<uint32_t>(F.Kind));
+    Words.push_back(F.A);
+    Words.push_back(F.B);
+  }
+}
+
+void StoredSleep::assign(std::string_view Bytes) {
+  Words.resize(Bytes.size() / sizeof(uint32_t));
+  std::memcpy(Words.begin(), Bytes.data(), Bytes.size());
+}
+
+bool StoredSleep::supersetOf(const StoredSleep &O) const {
+  if (O.Words.size() > Words.size())
     return false;
   // Both sorted: a single merge pass.
-  auto It = Members.begin();
-  for (const Candidate &C : O.Members) {
-    while (It != Members.end() && It->F < C.F)
-      ++It;
-    if (It == Members.end() || !(It->F == C.F))
+  const uint32_t *It = Words.begin(), *End = Words.end();
+  for (const uint32_t *Q = O.Words.begin(); Q != O.Words.end(); Q += 4) {
+    while (It != End && quadLess(It, Q))
+      It += 4;
+    if (It == End || !quadEqual(It, Q))
       return false;
-    ++It;
+    It += 4;
   }
   return true;
 }
 
-SleepSet SleepSet::relabeled(const std::vector<TxId> &LabelOf) const {
-  SleepSet Out;
-  Out.Members = Members;
-  for (Candidate &C : Out.Members) {
-    C.F.Tid = LabelOf[C.F.Tid];
-    if (C.F.Kind == FiringKind::Pull)
-      C.FP.PullOwner = LabelOf[C.FP.PullOwner];
-  }
-  std::sort(Out.Members.begin(), Out.Members.end(),
-            [](const Candidate &A, const Candidate &B) { return A.F < B.F; });
-  return Out;
-}
-
-SleepSet SleepSet::reindexedG(const SmallVec<uint32_t, 16> &Order) const {
-  // Identity fast path (also covers the no-oracle case, where configKey
-  // fills the identity order).
-  bool IsIdentity = true;
-  for (size_t I = 0; I < Order.size(); ++I)
-    if (Order[I] != I) {
-      IsIdentity = false;
-      break;
+void StoredSleep::intersectWith(const StoredSleep &O) {
+  size_t Kept = 0;
+  const uint32_t *It = O.Words.begin(), *End = O.Words.end();
+  for (size_t I = 0; I < Words.size(); I += 4) {
+    const uint32_t *Q = Words.begin() + I;
+    while (It != End && quadLess(It, Q))
+      It += 4;
+    if (It != End && quadEqual(It, Q)) {
+      // Kept <= I, so the move never overwrites an unread member.
+      std::copy(Q, Q + 4, Words.begin() + Kept);
+      Kept += 4;
     }
-  if (IsIdentity)
-    return *this;
-  // Invert: CanonOf[raw] = canonical position.
-  SmallVec<uint32_t, 16> CanonOf;
-  CanonOf.resize(Order.size());
-  for (size_t I = 0; I < Order.size(); ++I)
-    CanonOf[Order[I]] = static_cast<uint32_t>(I);
-  SleepSet Out;
-  Out.Members = Members;
-  for (Candidate &C : Out.Members)
-    if (C.F.Kind == FiringKind::Pull && C.F.A < CanonOf.size())
-      C.F.A = CanonOf[C.F.A];
-  std::sort(Out.Members.begin(), Out.Members.end(),
-            [](const Candidate &A, const Candidate &B) { return A.F < B.F; });
-  return Out;
-}
-
-void SleepSet::intersectWith(const SleepSet &O) {
-  Storage Out;
-  Out.reserve(std::min(Members.size(), O.Members.size()));
-  auto It = O.Members.begin();
-  for (const Candidate &C : Members) {
-    while (It != O.Members.end() && It->F < C.F)
-      ++It;
-    if (It != O.Members.end() && It->F == C.F)
-      Out.push_back(C);
   }
-  Members = std::move(Out);
+  Words.resize(Kept);
 }
 
 std::vector<std::vector<TxId>>

@@ -58,6 +58,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pushpull {
@@ -185,9 +186,9 @@ bool applyFiring(PushPullMachine &M, const Firing &F);
 /// re-exploration here would only re-derive commuted interleavings.
 /// Represented as a small sorted vector of candidates (footprints ride
 /// along because surviving a step requires an independence check against
-/// the fired candidate).  Sleep sets ride on every explorer work item and
-/// visited-map entry; the inline capacity keeps the common few-member set
-/// off the heap.
+/// the fired candidate).  Sleep sets ride on every explorer work item; the
+/// inline capacity keeps the common few-member set off the heap.  The
+/// visited map stores identities only (StoredSleep).
 class SleepSet {
 public:
   using Storage = SmallVec<Candidate, 8>;
@@ -204,34 +205,51 @@ public:
   SleepSet survivorsAfter(const Candidate &Fired,
                           const CommutativityOracle *DB = nullptr) const;
 
-  /// Is every member of \p O also a member of this set?  (By firing
-  /// identity.)  A revisit whose sleep set is a superset of the stored one
-  /// explores nothing the stored visit did not.
-  bool supersetOf(const SleepSet &O) const;
-
-  /// Intersect in place with \p O (by firing identity).  Stored on a
-  /// visited configuration after a re-exploration so that only the
-  /// transitions pruned by *every* visit stay pruned.
-  void intersectWith(const SleepSet &O);
-
-  /// This set with thread ids rewritten through \p LabelOf (firing tids
-  /// and PULL-footprint owners) and re-sorted.  The symmetry reduction
-  /// expresses sleep sets in the canonical labeling before visited-map
-  /// store/compare, so subsumption checks compare like with like.
-  SleepSet relabeled(const std::vector<TxId> &LabelOf) const;
-
-  /// This set with PULL global-log indices rewritten from raw positions to
-  /// canonical positions under \p Order (the configKey G-order quotient:
-  /// Order[canonical] = raw), and re-sorted.  Like relabeled(), applied at
-  /// the visited-map boundary when a commutativity oracle reorders the G
-  /// section: two visitors that merge on a canonical key agree on the
-  /// canonical position of every G entry, not on raw positions.  Sleep
-  /// sets that travel down edges stay in raw space (raw identities are
-  /// stable across independent firings; canonical positions are not).
-  SleepSet reindexedG(const SmallVec<uint32_t, 16> &Order) const;
-
 private:
   Storage Members;
+};
+
+/// The firing identities of a sleep set in canonical space: what a visited
+/// configuration stores (sim/Visited.h).  Subsumption between visits
+/// compares identities only, so footprints are dropped.  Members are kept
+/// as (tid, kind, A, B) word quadruples sorted lexicographically, which is
+/// Firing's order and also a padding-free byte string the visited map
+/// interns.
+class StoredSleep {
+public:
+  bool empty() const { return Words.empty(); }
+
+  /// \p Sleep's identities in the labeling a canonical key was rendered
+  /// in: thread ids renamed through \p LabelOf (the symmetry reduction's
+  /// winning permutation), and PULL global-log indices moved from raw
+  /// positions to canonical ones under \p GOrder (the configKey G-order
+  /// quotient: GOrder[canonical] = raw).  Either rewrite is skipped when
+  /// its argument is null.  Sleep sets that travel down edges stay in raw
+  /// space (raw identities are stable across independent firings,
+  /// canonical positions are not); two visitors that merge on a canonical
+  /// key agree on the canonical identities.
+  void assign(const SleepSet &Sleep, const std::vector<TxId> *LabelOf,
+              const SmallVec<uint32_t, 16> *GOrder);
+
+  /// The set encoded by bytes().
+  void assign(std::string_view Bytes);
+  std::string_view bytes() const {
+    return std::string_view(reinterpret_cast<const char *>(Words.begin()),
+                            Words.size() * sizeof(uint32_t));
+  }
+
+  /// Is every member of \p O also a member of this set?  A revisit whose
+  /// sleep set is a superset of the stored one explores nothing the stored
+  /// visit did not.
+  bool supersetOf(const StoredSleep &O) const;
+
+  /// Intersect in place with \p O.  Stored on a visited configuration
+  /// after a re-exploration so that only the transitions pruned by *every*
+  /// visit stay pruned.
+  void intersectWith(const StoredSleep &O);
+
+private:
+  SmallVec<uint32_t, 32> Words;
 };
 
 /// All thread relabelings that permute identical thread programs among

@@ -504,6 +504,7 @@ ScenarioOutcome pushpull::runScenario(const Scenario &S) {
   Out.Audit = M.auditToString();
   Out.CommittedLog = M.global().toString();
   Out.Ok = Out.Stats.Quiescent;
+  bool Inconclusive = false;
 
   for (const std::string &Check : S.Checks) {
     if (Check == "serializability" || Check == "serializability-any") {
@@ -555,14 +556,19 @@ ScenarioOutcome pushpull::runScenario(const Scenario &S) {
       if (R.OracleSkips)
         Line += ", " + std::to_string(R.OracleSkips) + " oracle-skipped";
       if (R.Truncated)
-        Line += " (truncated)";
+        Line += " (truncated at " + truncationBounds(R, EC) + ")";
       Out.CheckResults.push_back(std::move(Line));
       Out.Caches.ExplorerFiringsPruned += R.FiringsPruned;
       Out.Caches.ExplorerPersistentCuts += R.PersistentCuts;
       Out.Caches.ExplorerSymmetryHits += R.SymmetryHits;
       Out.Caches.ExplorerReductionRatio = R.reductionRatio();
+      Out.Caches.ExplorerConfigs += R.ConfigsVisited;
+      Out.Caches.ExplorerVisitedBytes += R.VisitedBytes;
       Out.Caches.OracleSkips += R.OracleSkips;
+      // A truncated search is no verdict: it found no failure only in the
+      // part it explored.
       Out.Ok = Out.Ok && R.clean();
+      Inconclusive = Inconclusive || R.Truncated;
     } else {
       Out.CheckResults.push_back("error: unknown check '" + Check + "'");
       Out.Ok = false;
@@ -575,5 +581,7 @@ ScenarioOutcome pushpull::runScenario(const Scenario &S) {
     Out.Caches.CertChecks = S.CommutDB->certChecks();
   }
   Run.fillCaches(Out.Caches, MemBefore);
+  Out.Unknown = Out.Ok && Inconclusive;
+  Out.Ok = Out.Ok && !Inconclusive;
   return Out;
 }

@@ -230,6 +230,9 @@ struct ScenarioOutcome {
   CacheStats Caches;
   /// True iff the run finished and every check passed.
   bool Ok = false;
+  /// True iff no check failed but some check reached no verdict within
+  /// its bounds (a truncated exploration); Ok is false then.
+  bool Unknown = false;
 };
 
 /// Build the case (recording the audit), run it, perform the checks.

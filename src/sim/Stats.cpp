@@ -84,6 +84,8 @@ void CacheStats::absorb(const CacheStats &R) {
   ExplorerFiringsPruned += R.ExplorerFiringsPruned;
   ExplorerPersistentCuts += R.ExplorerPersistentCuts;
   ExplorerSymmetryHits += R.ExplorerSymmetryHits;
+  ExplorerConfigs += R.ExplorerConfigs;
+  ExplorerVisitedBytes += R.ExplorerVisitedBytes;
   CommutTableHits += R.CommutTableHits;
   CommutTableMisses += R.CommutTableMisses;
   CertChecks += R.CertChecks;
@@ -142,6 +144,14 @@ std::string CacheStats::toString() const {
          std::to_string(ExplorerPersistentCuts) + "\n";
   Out += "  symmetry hits:        " + std::to_string(ExplorerSymmetryHits) +
          "\n";
+  if (ExplorerConfigs) {
+    char PerConfig[32];
+    std::snprintf(PerConfig, sizeof(PerConfig), "%.1f",
+                  static_cast<double>(ExplorerVisitedBytes) /
+                      static_cast<double>(ExplorerConfigs));
+    Out += "  visited map:          " + std::to_string(ExplorerVisitedBytes) +
+           " bytes (" + PerConfig + " bytes/config)\n";
+  }
   uint64_t CommutQueries = CommutTableHits + CommutTableMisses;
   double CommutHitRate =
       CommutQueries ? static_cast<double>(CommutTableHits) /

@@ -115,6 +115,10 @@ struct CacheStats {
   uint64_t ExplorerSymmetryHits = 0;
   /// Fraction of the explorer's candidate firings the reduction pruned.
   double ExplorerReductionRatio = 0.0;
+  /// Configurations the explorer visited and the memory its visited map
+  /// held at the end (ExplorerReport::VisitedBytes).
+  uint64_t ExplorerConfigs = 0;
+  uint64_t ExplorerVisitedBytes = 0;
   /// Certified commutativity-table counters (all zero unless the run used
   /// a static commutativity DB; see analysis/MoverTable.h).  Hits are
   /// oracle queries answered "strongly commutes" (a refinement applied),

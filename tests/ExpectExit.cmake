@@ -1,4 +1,5 @@
-# Run a command and require a given exit status and a stderr match:
+# Run a command and require a given exit status and a stderr match
+# (and, when EXPECT_STDOUT is given, a stdout match):
 #
 #   cmake -DEXPECT_EXIT=2 -DEXPECT_STDERR=regex -P ExpectExit.cmake -- cmd args...
 #
@@ -14,11 +15,14 @@ foreach(I RANGE ${Last})
     set(Seen TRUE)
   endif()
 endforeach()
-execute_process(COMMAND ${Cmd} RESULT_VARIABLE Rc OUTPUT_QUIET
+execute_process(COMMAND ${Cmd} RESULT_VARIABLE Rc OUTPUT_VARIABLE Out
                 ERROR_VARIABLE Err)
 if(NOT Rc STREQUAL "${EXPECT_EXIT}")
   message(FATAL_ERROR "expected exit ${EXPECT_EXIT}, got '${Rc}': ${Err}")
 endif()
 if(NOT Err MATCHES "${EXPECT_STDERR}")
   message(FATAL_ERROR "stderr does not match '${EXPECT_STDERR}': ${Err}")
+endif()
+if(DEFINED EXPECT_STDOUT AND NOT Out MATCHES "${EXPECT_STDOUT}")
+  message(FATAL_ERROR "stdout does not match '${EXPECT_STDOUT}': ${Out}")
 endif()

@@ -2,6 +2,7 @@
 
 #include "sim/Explorer.h"
 
+#include "analysis/MoverTable.h"
 #include "lang/Parser.h"
 #include "spec/CounterSpec.h"
 #include "spec/QueueSpec.h"
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -134,6 +136,66 @@ TEST(Explorer, TruncationReported) {
       E.explore({{parseOrDie("tx { mem.write(0, 1); mem.write(1, 1) }")},
                  {parseOrDie("tx { v := mem.read(0) }")}});
   EXPECT_TRUE(R.Truncated);
+}
+
+TEST(Explorer, TruncationNamesMaxConfigs) {
+  RegisterSpec Spec("mem", 2, 2);
+  MoverChecker Movers(Spec);
+  ExplorerConfig EC;
+  EC.MaxConfigs = 5;
+  Explorer E(Spec, Movers, EC);
+  ExplorerReport R =
+      E.explore({{parseOrDie("tx { mem.write(0, 1); mem.write(1, 1) }")},
+                 {parseOrDie("tx { v := mem.read(0) }")}});
+  EXPECT_TRUE(R.Truncated);
+  EXPECT_TRUE(R.HitMaxConfigs);
+  EXPECT_FALSE(R.HitMaxDepth);
+  EXPECT_EQ(truncationBounds(R, EC), "MaxConfigs=5");
+}
+
+TEST(Explorer, TruncationNamesMaxDepth) {
+  // One thread, one transaction of two writes: BEGIN, two APPs, two
+  // PUSHes and CMT make every complete path 6 rules deep.
+  RegisterSpec Spec("mem", 2, 2);
+  MoverChecker Movers(Spec);
+  std::vector<std::vector<CodePtr>> Programs = {
+      {parseOrDie("tx { mem.write(0, 1); mem.write(1, 1) }")}};
+  ExplorerConfig EC;
+  EC.MaxDepth = 3;
+  ExplorerReport R = Explorer(Spec, Movers, EC).explore(Programs);
+  EXPECT_TRUE(R.Truncated);
+  EXPECT_TRUE(R.HitMaxDepth);
+  EXPECT_FALSE(R.HitMaxConfigs);
+  EXPECT_EQ(R.TerminalConfigs, 0u);
+  EXPECT_EQ(truncationBounds(R, EC), "MaxDepth=3");
+
+  // A depth bound past the visited map's 32-bit depth field is the field's
+  // limit, which no path reaches.
+  EC.MaxDepth = SIZE_MAX;
+  ExplorerReport Unbounded = Explorer(Spec, Movers, EC).explore(Programs);
+  EXPECT_FALSE(Unbounded.Truncated);
+  EXPECT_GT(Unbounded.TerminalConfigs, 0u);
+  EXPECT_TRUE(Unbounded.clean()) << Unbounded.FirstFailure;
+}
+
+TEST(Explorer, VisitedMapStaysCompact) {
+  // Collapse compression keeps a visited configuration to a tuple of
+  // interned key-section ids plus depth and sleep-set id (sim/Visited.h):
+  // well under 64 bytes each, index slack and interned sections included.
+  // A string-keyed map spent about 650.
+  RegisterSpec Spec("mem", 2, 2);
+  MoverChecker Movers(Spec);
+  Explorer E(Spec, Movers);
+  ExplorerReport R = E.explore(
+      {{parseOrDie("tx { v := mem.read(0); w := mem.read(1) }")},
+       {parseOrDie("tx { mem.write(0, 1); mem.write(1, 1) }")},
+       {parseOrDie("tx { u := mem.read(1) }")}});
+  ASSERT_FALSE(R.Truncated);
+  ASSERT_GE(R.ConfigsVisited, 20000u);
+  EXPECT_TRUE(R.clean()) << R.FirstFailure;
+  EXPECT_GT(R.VisitedBytes, 0u);
+  EXPECT_LE(R.VisitedBytes, 64 * R.ConfigsVisited)
+      << R.VisitedBytes / R.ConfigsVisited << " bytes per configuration";
 }
 
 TEST(Explorer, ThreeThreadsStillClean) {
@@ -273,5 +335,34 @@ TEST(Explorer, LoneWorkerUsesCallersCheckerAndPoolNeverTouchesIt) {
   EXPECT_EQ(Movers.memoMisses(), Misses);
   EXPECT_EQ(Par.ConfigsVisited, Seq.ConfigsVisited);
   EXPECT_EQ(Par.TerminalConfigs, Seq.TerminalConfigs);
+  EXPECT_TRUE(Par.clean()) << Par.FirstFailure;
+}
+
+TEST(Explorer, ParallelCommutSymmetryMatchesSequential) {
+  // Four workers share the visited map's intern tables (locked shards)
+  // while the commutativity quotient and symmetry both rewrite keys and
+  // sleep sets: the deterministic totals must equal the lone worker's.
+  CounterSpec Spec("c", 2, 3);
+  CommutativityDB DB(Spec);
+  std::vector<std::vector<CodePtr>> Programs = {
+      {parseOrDie("tx { c.inc(0); c.inc(1) }")},
+      {parseOrDie("tx { c.inc(0); c.inc(1) }")}};
+  ASSERT_TRUE(DB.coversProgram(Programs));
+  auto Explore = [&](unsigned Threads) {
+    MoverChecker Movers(Spec);
+    ExplorerConfig EC;
+    EC.Threads = Threads;
+    EC.Reduce = Reduction::PersistentSymmetry;
+    EC.CommutDB = &DB;
+    return Explorer(Spec, Movers, EC).explore(Programs);
+  };
+  ExplorerReport Seq = Explore(1);
+  ExplorerReport Par = Explore(4);
+  ASSERT_FALSE(Seq.Truncated);
+  ASSERT_FALSE(Par.Truncated);
+  EXPECT_GT(Seq.SymmetryHits, 0u);
+  EXPECT_EQ(Par.ConfigsVisited, Seq.ConfigsVisited);
+  EXPECT_EQ(Par.TerminalConfigs, Seq.TerminalConfigs);
+  EXPECT_EQ(Par.NonSerializable, 0u);
   EXPECT_TRUE(Par.clean()) << Par.FirstFailure;
 }

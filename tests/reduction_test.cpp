@@ -18,6 +18,7 @@
 #include "fuzz/DiffRunner.h"
 #include "fuzz/Generator.h"
 #include "lang/Parser.h"
+#include "sim/Visited.h"
 #include "spec/CounterSpec.h"
 #include "spec/MapSpec.h"
 #include "spec/RegisterSpec.h"
@@ -27,6 +28,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -799,4 +801,122 @@ TEST(CommutativityReduction, InjectedBugStillFoundWithDB) {
       EXPECT_FALSE(R.R.FirstFailure.empty()) << Tag;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The visited map stores a configuration as a tuple of interned key-section
+// ids (sim/Visited.h).  Over machines sampled along real explorations, the
+// tuples must partition configurations exactly like the configKey strings:
+// equal tuples iff equal strings, and a claim is fresh iff its string is
+// new.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct KeyExactness {
+  KeyExactness(size_t Threads, std::vector<std::vector<TxId>> Perms,
+               const CommutativityOracle *DB)
+      : Visited(1, Threads + 2), Perms(std::move(Perms)), DB(DB) {}
+
+  void sample(const PushPullMachine &M, const std::string &Tag) {
+    ConfigKeySections Key;
+    size_t Best = 0;
+    SmallVec<uint32_t, 16> Order;
+    if (Perms.size() > 1)
+      M.renderKeyCanonical(Key, Perms, Best, DB, &Order);
+    else
+      M.renderKey(Key, nullptr, DB, &Order);
+    // The definition: the smallest configKey over the group, first
+    // minimizing permutation winning ties.
+    std::string Str = M.configKey(&Perms[0], DB);
+    size_t StrBest = 0;
+    for (size_t Pi = 1; Pi < Perms.size(); ++Pi) {
+      std::string Cur = M.configKey(&Perms[Pi], DB);
+      if (Cur < Str) {
+        Str = std::move(Cur);
+        StrBest = Pi;
+      }
+    }
+    ASSERT_EQ(Key.Bytes, Str) << Tag;
+    ASSERT_EQ(Best, StrBest) << Tag;
+    NonIdentityPerms += Best != 0;
+    for (size_t I = 0; I < Order.size(); ++I)
+      if (Order[I] != I) {
+        ++NonIdentityOrders;
+        break;
+      }
+
+    SmallVec<uint32_t, 8> IdVec;
+    Visited.sectionIds(Key, IdVec);
+    std::vector<uint32_t> Ids(IdVec.begin(), IdVec.end());
+    auto [ByStr, NewStr] = ByKey.emplace(Str, Ids);
+    auto [ByTuple, NewIds] = ByIds.emplace(Ids, Str);
+    EXPECT_EQ(ByStr->second, Ids) << Tag << ": one key, two id tuples";
+    EXPECT_EQ(ByTuple->second, Str) << Tag << ": one id tuple, two keys";
+    EXPECT_EQ(Visited.claim(Key, 0, nullptr).Fresh, NewStr) << Tag;
+    ++Samples;
+  }
+
+  VisitedSet Visited;
+  std::vector<std::vector<TxId>> Perms;
+  const CommutativityOracle *DB;
+  std::map<std::string, std::vector<uint32_t>> ByKey;
+  std::map<std::vector<uint32_t>, std::string> ByIds;
+  size_t Samples = 0, NonIdentityPerms = 0, NonIdentityOrders = 0;
+};
+
+/// Explore \p S sequentially under \p Mode, sampling every machine a rule
+/// fires into.  Returns the exactness record.
+std::unique_ptr<KeyExactness> sampleKeys(const Scope &S, Reduction Mode,
+                                         bool UseDB) {
+  auto Spec = S.MakeSpec();
+  MoverChecker Movers(*Spec);
+  CommutativityDB DB(*Spec);
+  std::vector<std::vector<CodePtr>> Ps;
+  for (const std::string &P : S.Programs)
+    Ps.push_back({parseOrDie(P)});
+  std::vector<std::vector<TxId>> Perms =
+      usesSymmetry(Mode) ? symmetryGroup(Ps)
+                         : symmetryGroup(Ps, /*MaxPerms=*/1);
+  auto K = std::make_unique<KeyExactness>(Ps.size(), Perms,
+                                          UseDB ? &DB : nullptr);
+  std::string Tag = std::string(S.Name) + " / " + toString(Mode) +
+                    (UseDB ? " / DB" : "");
+  ExplorerConfig EC;
+  EC.Reduce = Mode;
+  EC.ExploreBackwardRules = S.Backward;
+  EC.MaxDepth = S.Backward ? 24 : 64;
+  EC.MaxConfigs = 20000;
+  if (UseDB)
+    EC.CommutDB = &DB;
+  EC.Machine.OnRuleApplied = [&](const PushPullMachine &M, RuleKind,
+                                 TxId) { K->sample(M, Tag); };
+  Explorer(*Spec, Movers, EC).explore(Ps);
+  K->DB = nullptr; // The DB dies with this frame.
+  return K;
+}
+
+} // namespace
+
+TEST(VisitedKeys, IdTuplesPartitionConfigurationsLikeKeyStrings) {
+  size_t Samples = 0, NonIdentityPerms = 0, NonIdentityOrders = 0;
+  auto Add = [&](const KeyExactness &K) {
+    Samples += K.Samples;
+    NonIdentityPerms += K.NonIdentityPerms;
+    NonIdentityOrders += K.NonIdentityOrders;
+    EXPECT_EQ(K.ByKey.size(), K.ByIds.size());
+  };
+  // The reduction battery's scopes (backward rules included), with and
+  // without symmetry.
+  for (const Scope &S : batteryScopes())
+    for (Reduction Mode : {Reduction::None, Reduction::PersistentSymmetry})
+      Add(*sampleKeys(S, Mode, /*UseDB=*/false));
+  // The commutativity battery's scopes under the G-order quotient, alone
+  // and composed with symmetry.
+  for (const Scope &S : commutScopes())
+    for (Reduction Mode : {Reduction::Sleep, Reduction::PersistentSymmetry})
+      Add(*sampleKeys(S, Mode, /*UseDB=*/true));
+  EXPECT_GT(Samples, 1000u);
+  EXPECT_GT(NonIdentityPerms, 0u) << "no sample exercised a relabeling";
+  EXPECT_GT(NonIdentityOrders, 0u) << "no sample exercised the G quotient";
 }

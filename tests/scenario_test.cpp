@@ -279,6 +279,45 @@ check invariants
   EXPECT_TRUE(O.Ok) << (O.CheckResults.empty() ? "?" : O.CheckResults[0]);
 }
 
+TEST(ScenarioRun, TruncatedExploreIsUnknownNotOk) {
+  // Thirty-three empty transactions on one thread: the only complete
+  // path is 66 rules deep (BEGIN and CMT each), past the explorer's
+  // default MaxDepth of 64, so `check explore` cannot reach a verdict.
+  std::string Text = "spec register name=mem regs=1 vals=2\nthread ";
+  for (int I = 0; I < 33; ++I)
+    Text += I ? "; tx { skip }" : "tx { skip }";
+  Text += "\ncheck explore\n";
+  ScenarioParseResult R = parseScenario(Text);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  ScenarioOutcome O = runScenario(*R.Parsed);
+  ASSERT_EQ(O.CheckResults.size(), 1u);
+  EXPECT_NE(O.CheckResults[0].find("0 non-serializable"), std::string::npos)
+      << O.CheckResults[0];
+  EXPECT_NE(O.CheckResults[0].find("(truncated at MaxDepth=64)"),
+            std::string::npos)
+      << O.CheckResults[0];
+  EXPECT_FALSE(O.Ok) << "a truncated exploration is not a pass";
+  EXPECT_TRUE(O.Unknown);
+}
+
+TEST(ScenarioRun, FailedCheckBeatsTruncation) {
+  // A definite failure elsewhere (here an unknown check) makes the run
+  // FAILED, not UNKNOWN.
+  std::string Text = "spec register name=mem regs=1 vals=2\nthread ";
+  for (int I = 0; I < 33; ++I)
+    Text += I ? "; tx { skip }" : "tx { skip }";
+  Text += "\ncheck explore\ncheck nosuch\n";
+  ScenarioParseResult R = parseScenario(Text);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  ScenarioOutcome O = runScenario(*R.Parsed);
+  ASSERT_EQ(O.CheckResults.size(), 2u);
+  EXPECT_NE(O.CheckResults[0].find("(truncated at MaxDepth=64)"),
+            std::string::npos)
+      << O.CheckResults[0];
+  EXPECT_FALSE(O.Ok);
+  EXPECT_FALSE(O.Unknown);
+}
+
 TEST(ScenarioRun, AuditRecordsCriteria) {
   ScenarioParseResult R = parseScenario(Fig2Scenario);
   ASSERT_TRUE(R.ok()) << R.Error;

@@ -30,7 +30,9 @@
 //                                     `check explore` skips the per-terminal
 //                                     serializability oracle replay
 //
-// Exit status 0 iff the run finished and every check passed.
+// Exit status 0 iff the run finished and every check passed; 1 when a
+// check failed; 2 on bad input; 3 (UNKNOWN) when no check failed but one
+// reached no verdict within its bounds (a truncated `check explore`).
 //
 //===----------------------------------------------------------------------===//
 
@@ -192,6 +194,6 @@ int main(int argc, char **argv) {
     std::printf("%s\n", R.c_str());
   if (ShowStats)
     std::printf("\ncache stats:\n%s", O.Caches.toString().c_str());
-  std::printf("\n%s\n", O.Ok ? "OK" : "FAILED");
-  return O.Ok ? 0 : 1;
+  std::printf("\n%s\n", O.Ok ? "OK" : O.Unknown ? "UNKNOWN" : "FAILED");
+  return O.Ok ? 0 : O.Unknown ? 3 : 1;
 }
